@@ -135,8 +135,9 @@ def build_heterogeneous_single_source(
     j refreshes the monitor and every server at j's rank or staler, leaving
     the ordering unchanged (self-loop).
 
-    Guarded at n <= 8; be aware the age solve is dense, so n >= 6 is already
-    a large computation.
+    Capped at n <= 6: the dense age system has n! * (n + 1) unknowns, and at
+    n = 6 (5040 unknowns) the solve takes seconds and about 0.45 GB; at n = 7
+    its matrix alone would be about 13 GB.
     """
     lams = [_check_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
     mus = [_check_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
@@ -145,8 +146,8 @@ def build_heterogeneous_single_source(
         raise ValueError("arrival_rates and service_rates must have equal length")
     if n < 1:
         raise ValueError("need at least one server")
-    if n > 8:
-        raise ValueError("heterogeneous builder supports at most 8 servers")
+    if n > 6:
+        raise ValueError("heterogeneous builder supports at most 6 servers")
 
     states = list(itertools.permutations(range(n)))
     index = {p: q for q, p in enumerate(states)}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,9 @@ from .model import (
     NetworkConfig,
     QueueDiscipline,
     classify,
+    is_number,
     load_config,
+    parse_json,
 )
 from .optimize import grid_minimize, optimal_hetero_split_n2, optimal_weighted_split
 from .shs import solve_age
@@ -154,12 +157,7 @@ class SweepResult:
 
 
 def load_sweep_spec(text: str) -> SweepSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    doc = parse_json(text)
     if not isinstance(doc, dict) or "config" not in doc or "sweep" not in doc:
         raise ConfigError("sweep spec must be an object with 'config' and 'sweep'")
     config = load_config(json.dumps(doc["config"]))
@@ -175,7 +173,7 @@ def load_sweep_spec(text: str) -> SweepSpec:
     if (
         not isinstance(grid, list)
         or not grid
-        or not all(isinstance(v, (int, float)) for v in grid)
+        or not all(is_number(v) for v in grid)
     ):
         raise ConfigError("sweep grid must be a non-empty list of numbers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -480,6 +478,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all(not r.error for r in result.rows) else 1
 
 
+def load_optimize_spec(text: str) -> tuple[float, float, tuple[float, ...]]:
+    """Parse a hetero-n2 optimize spec into (total_arrival, service_total, mu1_grid)."""
+    doc = parse_json(text)
+    opt = doc.get("optimize") if isinstance(doc, dict) else None
+    if not isinstance(opt, dict) or opt.get("kind") != "hetero-n2":
+        raise ConfigError("optimize spec must contain {'optimize': {'kind': 'hetero-n2', ...}}")
+
+    def positive(key: str) -> float:
+        value = opt.get(key)
+        if not (is_number(value) and math.isfinite(value) and value > 0):
+            raise ConfigError(f"optimize spec needs '{key}' as a finite number > 0")
+        return float(value)
+
+    lam, mu_total = positive("total_arrival"), positive("service_total")
+    grid = opt.get("mu1_grid")
+    if not isinstance(grid, list) or not grid or not all(is_number(v) for v in grid):
+        raise ConfigError("optimize spec needs a non-empty mu1_grid of numbers")
+    if any(not (0 < v < mu_total) for v in grid):
+        raise ConfigError("mu1_grid values must lie strictly between 0 and service_total")
+    return lam, mu_total, tuple(float(v) for v in grid)
+
+
 def _optimize_report(split, delta: float | None, fmt: str, out: str | None) -> None:
     if fmt == "json":
         doc = {
@@ -500,38 +520,24 @@ def _optimize_report(split, delta: float | None, fmt: str, out: str | None) -> N
         _write_out("\n".join(lines) + "\n", out)
 
 
+def _hetero_n2_split(lam: float, mu1: float, mu2: float):
+    """Closed-form two-server split and its distance from a golden-section search."""
+    split = optimal_hetero_split_n2(lam, mu1, mu2)
+    gx, _ = grid_minimize(
+        lambda l1: aoi_hetero_n2(l1, lam - l1, mu1, mu2), 0.0, lam, tol=1e-9 * lam
+    )
+    return split, abs(split.rates[0] - gx)
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        doc = json.loads(_read_spec_text(args.spec))
-        opt = doc.get("optimize") if isinstance(doc, dict) else None
-        if not isinstance(opt, dict) or opt.get("kind") != "hetero-n2":
-            raise ConfigError("optimize spec must contain {'optimize': {'kind': 'hetero-n2', ...}}")
-        lam = float(opt["total_arrival"])
-        mu_total = float(opt["service_total"])
-        grid = opt.get("mu1_grid")
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("optimize spec needs a non-empty mu1_grid")
-        if any(not (0 < v < mu_total) for v in grid):
-            raise ConfigError("mu1_grid values must lie strictly between 0 and service_total")
+        lam, mu_total, grid = load_optimize_spec(_read_spec_text(args.spec))
         lines = ["mu1,lambda1,lambda2,objective,boundary,grid_delta"]
         for mu1 in grid:
-            mu2 = mu_total - mu1
-            split = optimal_hetero_split_n2(lam, mu1, mu2)
-            gx, _ = grid_minimize(
-                lambda l1: aoi_hetero_n2(l1, lam - l1, mu1, mu2), 0.0, lam, tol=1e-9 * lam
-            )
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(mu1),
-                        _fmt(split.rates[0]),
-                        _fmt(split.rates[1]),
-                        _fmt(split.objective),
-                        "true" if split.boundary else "false",
-                        _fmt(abs(split.rates[0] - gx)),
-                    )
-                )
-            )
+            split, delta = _hetero_n2_split(lam, mu1, mu_total - mu1)
+            fields = [_fmt(x) for x in (mu1, *split.rates, split.objective)]
+            fields += ["true" if split.boundary else "false", _fmt(delta)]
+            lines.append(",".join(fields))
         _write_out("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -558,15 +564,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.kind == "hetero-n2":
         if args.total is None or args.mu1 is None or args.mu2 is None:
             raise ConfigError("hetero-n2 optimize needs --total, --mu1 and --mu2")
-        split = optimal_hetero_split_n2(args.total, args.mu1, args.mu2)
-        lam = args.total
-        gx, _ = grid_minimize(
-            lambda l1: aoi_hetero_n2(l1, lam - l1, args.mu1, args.mu2),
-            0.0,
-            lam,
-            tol=1e-9 * lam,
-        )
-        _optimize_report(split, abs(split.rates[0] - gx), args.format, args.out)
+        split, delta = _hetero_n2_split(args.total, args.mu1, args.mu2)
+        _optimize_report(split, delta, args.format, args.out)
         return 0
 
     raise ConfigError("optimize needs --spec or --kind")

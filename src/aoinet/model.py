@@ -126,17 +126,27 @@ def classify(config: NetworkConfig) -> HomogeneityClass:
     return HomogeneityClass.GENERAL
 
 
+def parse_json(text: str) -> object:
+    """json.loads, with a decode error raised as ConfigError naming its position."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+
+
+def is_number(x: object) -> bool:
+    """True for a JSON number; booleans are ints in Python but not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_config(text: str) -> NetworkConfig:
     """Parse a JSON config document and validate it.
 
     Raises ConfigError with line/field context on malformed documents.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - set(_FIELDS)
@@ -150,12 +160,12 @@ def load_config(text: str) -> NetworkConfig:
         if isinstance(doc[name], bool) or not isinstance(doc[name], int):
             raise ConfigError(f"field '{name}' must be an integer")
     if not isinstance(doc["arrival_rates"], list) or not all(
-        isinstance(row, list) and all(isinstance(r, (int, float)) for r in row)
+        isinstance(row, list) and all(is_number(r) for r in row)
         for row in doc["arrival_rates"]
     ):
         raise ConfigError("field 'arrival_rates' must be a list of lists of numbers")
     if not isinstance(doc["service_rates"], list) or not all(
-        isinstance(r, (int, float)) for r in doc["service_rates"]
+        is_number(r) for r in doc["service_rates"]
     ):
         raise ConfigError("field 'service_rates' must be a list of numbers")
     try:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pivot smaller than this times the largest initial entry means singular
-PIVOT_RTOL = 1e-13
 # solved systems must reproduce their equations to this relative residual
 RESIDUAL_RTOL = 1e-10
 # expected ages below this are a modeling error, not noise
@@ -26,10 +24,6 @@ class NonErgodicError(RuntimeError):
 
 class NegativeSolutionError(RuntimeError):
     """The age system produced materially negative expectations."""
-
-
-class SingularMatrixError(RuntimeError):
-    """A pivot fell below the singularity threshold."""
 
 
 @dataclass(frozen=True)
@@ -100,33 +94,14 @@ class ShsSolution:
     aoi: float
 
 
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrixError when a pivot falls below PIVOT_RTOL times the
-    largest entry of the initial matrix.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError("need a square matrix and a matching vector")
-    scale = np.abs(a).max()
-    if scale == 0:
-        raise SingularMatrixError("zero matrix")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_RTOL * scale:
-            raise SingularMatrixError(f"pivot {a[p, k]:.3e} below tolerance at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        f = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(f, a[k, k:])
-        b[k + 1 :] -= f * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
+    """Solve m @ x = rhs; a singular system (or an overflowed solution) is NonErgodicError."""
+    try:
+        x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as e:
+        raise NonErgodicError(f"{system} system singular: {e}") from None
+    if not np.all(np.isfinite(x)):
+        raise NonErgodicError(f"{system} system singular: solution is not finite")
     return x
 
 
@@ -202,10 +177,7 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
     rhs = np.zeros(model.num_states)
     m[-1, :] = 1.0
     rhs[-1] = 1.0
-    try:
-        pi = solve_dense(m, rhs)
-    except SingularMatrixError as e:
-        raise NonErgodicError(f"stationary system singular: {e}") from None
+    pi = _solve(m, rhs, "stationary")
     if pi.min() < -1e-12:
         raise NonErgodicError(f"stationary distribution has negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
@@ -233,19 +205,13 @@ def solve_age(model: ShsModel) -> ShsSolution:
     s, d = model.num_states, model.age_dim
     n = s * d
     m = np.zeros((n, n))
-    exit_rates = model.exit_rates()
-    for q in range(s):
-        for k in range(d):
-            m[q * d + k, q * d + k] += exit_rates[q]
+    m.flat[:: n + 1] = np.repeat(model.exit_rates(), d)
     for t in model.transitions:
         rows, cols = np.nonzero(t.reset)
         # coordinate `cols` of the target equation picks up rate * v[source, rows]
         m[t.target * d + cols, t.source * d + rows] -= t.rate
     rhs = (model.growth * pi[:, None]).ravel()
-    try:
-        flat = solve_dense(m, rhs)
-    except SingularMatrixError as e:
-        raise NonErgodicError(f"age system singular: {e}") from None
+    flat = _solve(m, rhs, "age")
     worst = age_residual(model, pi, flat.reshape(s, d))
     if worst > RESIDUAL_RTOL:
         raise NonErgodicError(

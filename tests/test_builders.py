@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from aoinet.analytic import aoi_lcfs_homogeneous
 from aoinet.builders import (
     build_heterogeneous_single_source,
     build_multi_source_homogeneous,
@@ -238,6 +239,13 @@ def test_hetero_symmetric_matches_homogeneous():
         assert het == pytest.approx(hom, rel=1e-10)
 
 
+def test_hetero_at_the_server_cap():
+    # n = 6: 720 orderings, 5040 age unknowns, the largest chain the builder allows
+    lam, mu = 0.8, 1.3
+    het = solve_age(build_heterogeneous_single_source([lam] * 6, [mu] * 6)).aoi
+    assert het == pytest.approx(aoi_lcfs_homogeneous(6, lam, mu), rel=1e-9)
+
+
 def test_hetero_relabeling_invariance():
     lams = [0.5, 1.0, 1.5]
     mus = [1.0, 2.0, 0.7]
@@ -265,7 +273,8 @@ def test_hetero_rate_scaling():
 def test_hetero_validation():
     with pytest.raises(ValueError, match="equal length"):
         build_heterogeneous_single_source([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError, match="at most 8"):
-        build_heterogeneous_single_source([1.0] * 9, [1.0] * 9)
+    for n in (7, 9):
+        with pytest.raises(ValueError, match="at most 6 servers"):
+            build_heterogeneous_single_source([1.0] * n, [1.0] * n)
     with pytest.raises(ValueError, match="arrival_rates\\[1\\]"):
         build_heterogeneous_single_source([1.0, 0.0], [1.0, 1.0])

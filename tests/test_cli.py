@@ -468,6 +468,33 @@ def test_main_optimize_requires_arguments(capsys):
     assert main(["optimize", "--kind", "weighted"]) == 2
 
 
+def assert_one_line_exit_2(capsys, argv, word):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aoinet: error:") and err.count("\n") == 1 and word in err
+
+
+@pytest.mark.parametrize("key, value", [("total_arrival", None), ("mu1_grid", ["a"])])
+def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
+    doc = json.loads(_read_spec_text("fig5"))
+    if value is None:
+        del doc["optimize"][key]
+    else:
+        doc["optimize"][key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert_one_line_exit_2(capsys, ["optimize", "--spec", str(path)], key)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("arrival_rates", [[True, 1.0]]), ("service_rates", [True, 1.0])]
+)
+def test_main_analytic_rejects_bool_rates(tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config_doc(), field: value}))
+    assert_one_line_exit_2(capsys, ["analytic", "--config", str(path)], field)
+
+
 def test_main_optimize_recipe(tmp_path):
     out = tmp_path / "fig5.csv"
     assert main(["optimize", "--spec", "fig5", "--out", str(out)]) == 0
