@@ -8,14 +8,8 @@ from __future__ import annotations
 import math
 
 from .builders import build_heterogeneous_single_source
+from .model import positive_rate
 from .shs import solve_age
-
-
-def _positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0")
-    return value
 
 
 def aoi_lcfs_homogeneous(n: int, lam: float, mu: float) -> float:
@@ -30,8 +24,8 @@ def aoi_lcfs_homogeneous(n: int, lam: float, mu: float) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    lam = _positive("lam", lam)
-    mu = _positive("mu", mu)
+    lam = positive_rate("lam", lam)
+    mu = positive_rate("mu", mu)
     rho = lam / mu
     total = 0.0
     prod = 1.0
@@ -47,9 +41,9 @@ def aoi_multi_source_n2(lam_i: float, lam: float, mu: float) -> float:
     lam_i is the tracked source's per-server rate, lam the per-server total
     over all sources (lam_i <= lam).
     """
-    lam_i = _positive("lam_i", lam_i)
-    lam = _positive("lam", lam)
-    mu = _positive("mu", mu)
+    lam_i = positive_rate("lam_i", lam_i)
+    lam = positive_rate("lam", lam)
+    mu = positive_rate("mu", mu)
     if lam_i > lam:
         raise ValueError("lam_i cannot exceed the per-server total rate lam")
     return 1.0 / (2.0 * (lam + mu)) + (lam + mu) / (2.0 * mu * lam_i)
@@ -67,9 +61,9 @@ def aoi_multi_source_n3(lam_i: float, lam: float, mu: float) -> float:
     three-server balance system; at rho_i = rho it coincides with
     aoi_lcfs_homogeneous(3, lam, mu).
     """
-    lam_i = _positive("lam_i", lam_i)
-    lam = _positive("lam", lam)
-    mu = _positive("mu", mu)
+    lam_i = positive_rate("lam_i", lam_i)
+    lam = positive_rate("lam", lam)
+    mu = positive_rate("mu", mu)
     if lam_i > lam:
         raise ValueError("lam_i cannot exceed the per-server total rate lam")
     rho = lam / mu
@@ -89,8 +83,8 @@ def aoi_hetero_n2(lam1: float, lam2: float, mu1: float, mu2: float) -> float:
             raise ValueError(f"{name} must be finite and >= 0")
     if lam1 + lam2 <= 0:
         raise ValueError("lam1 + lam2 must be > 0")
-    mu1 = _positive("mu1", mu1)
-    mu2 = _positive("mu2", mu2)
+    mu1 = positive_rate("mu1", mu1)
+    mu2 = positive_rate("mu2", mu2)
     lam = lam1 + lam2
     mu = mu1 + mu2
     cross = mu1 * lam2 / (lam1 + mu2) + mu2 * lam1 / (lam2 + mu1)

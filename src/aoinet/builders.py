@@ -14,63 +14,36 @@ import math
 
 import numpy as np
 
+from .model import positive_rate
 from .shs import ShsModel, ShsTransition
 
 
-def _check_rate(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0")
-    return value
-
-
-def _arrival_reset(d: int, slot: int) -> np.ndarray:
+def _arrival_take(d: int, slot: int) -> np.ndarray:
     """Fresh update enters as the new slot-th freshest age (slot >= 1).
 
     The monitor keeps its age, fresher coordinates shift down one slot, the
     previous occupant of `slot` is dropped, staler coordinates are untouched.
     """
-    a = np.zeros((d, d))
-    a[0, 0] = 1.0
-    for i in range(1, slot):
-        a[i, i + 1] = 1.0
-    for j in range(slot + 1, d):
-        a[j, j] = 1.0
-    return a
+    return np.r_[0, -1, 1:slot, slot + 1 : d]
 
 
-def _delivery_reset(d: int, k: int) -> np.ndarray:
+def _delivery_take(d: int, k: int) -> np.ndarray:
     """The k-th freshest update reaches the monitor.
 
     The monitor takes age x_k; coordinates k..n all take x_k (synthetic
     refresh of the stale servers); fresher coordinates are untouched.
     """
-    a = np.zeros((d, d))
-    a[k, 0] = 1.0
-    for j in range(1, k):
-        a[j, j] = 1.0
-    for j in range(k, d):
-        a[k, j] = 1.0
-    return a
+    return np.r_[k, 1:k, [k] * (d - k)]
 
 
 def build_single_source_homogeneous(n: int, lam: float, mu: float) -> ShsModel:
     """One source, n exchangeable servers, per-server rates (lam, mu).
 
-    Single discrete state; n arrival transitions (the fresh update can land in
-    any freshness slot) and n delivery transitions.
+    The one-source case of build_multi_source_homogeneous: a single discrete
+    state, n arrival transitions (the fresh update can land in any freshness
+    slot) and n delivery transitions.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    lam = _check_rate("lam", lam)
-    mu = _check_rate("mu", mu)
-    d = n + 1
-    transitions = []
-    for slot in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, lam, _arrival_reset(d, slot)))
-    for k in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, mu, _delivery_reset(d, k)))
-    return ShsModel(1, d, tuple(transitions), np.ones((1, d)))
+    return build_multi_source_homogeneous(n, 1, 0, [positive_rate("lam", lam)], mu)
 
 
 def build_multi_source_homogeneous(
@@ -101,25 +74,22 @@ def build_multi_source_homogeneous(
     lam_i = rates[tracked]
     if lam_i <= 0:
         raise ValueError("tracked source rate must be > 0")
-    mu = _check_rate("mu", mu)
+    mu = positive_rate("mu", mu)
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
     d = n + 1
     transitions = []
     for slot in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, lam_i, _arrival_reset(d, slot)))
+        transitions.append(ShsTransition(0, 0, lam_i, _arrival_take(d, slot)))
     if lam_bar > 0:
         for slot in range(1, n + 1):
-            a = np.zeros((d, d))
-            a[0, 0] = 1.0
-            a[0, d - 1] = 1.0  # displaced server now holds monitor-age content
-            for j in range(1, slot):
-                a[j, j] = 1.0
-            for j in range(slot + 1, d):
-                a[j, j - 1] = 1.0
-            transitions.append(ShsTransition(0, 0, lam_bar, a))
+            # the occupant of `slot` is dropped, staler slots move one slot
+            # fresher, and the displaced server's monitor-age content is
+            # appended as the stalest coordinate
+            take = np.r_[0:slot, slot + 1 : d, 0]
+            transitions.append(ShsTransition(0, 0, lam_bar, take))
     for k in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, mu, _delivery_reset(d, k)))
+        transitions.append(ShsTransition(0, 0, mu, _delivery_take(d, k)))
     return ShsModel(1, d, tuple(transitions), np.ones((1, d)))
 
 
@@ -139,8 +109,8 @@ def build_heterogeneous_single_source(
     n = 6 (5040 unknowns) the solve takes seconds and about 0.45 GB; at n = 7
     its matrix alone would be about 13 GB.
     """
-    lams = [_check_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
-    mus = [_check_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
+    lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
+    mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
     n = len(lams)
     if len(mus) != n:
         raise ValueError("arrival_rates and service_rates must have equal length")
@@ -155,16 +125,15 @@ def build_heterogeneous_single_source(
     transitions = []
     for q, perm in enumerate(states):
         for j in range(n):
-            a = np.eye(d)
-            a[j + 1, j + 1] = 0.0  # server j's age resets to zero
+            take = np.arange(d)
+            take[j + 1] = -1  # server j's age resets to zero
             target = index[(j,) + tuple(k for k in perm if k != j)]
-            transitions.append(ShsTransition(q, target, lams[j], a))
+            transitions.append(ShsTransition(q, target, lams[j], take))
+        coords = np.array(perm) + 1
         for pos, j in enumerate(perm):
-            a = np.zeros((d, d))
-            a[j + 1, 0] = 1.0
-            for r in perm[:pos]:
-                a[r + 1, r + 1] = 1.0
-            for r in perm[pos:]:
-                a[j + 1, r + 1] = 1.0
-            transitions.append(ShsTransition(q, q, mus[j], a))
+            # the monitor and every server at j's rank or staler take x_j
+            take = np.arange(d)
+            take[0] = j + 1
+            take[coords[pos:]] = j + 1
+            transitions.append(ShsTransition(q, q, mus[j], take))
     return ShsModel(len(states), d, tuple(transitions), np.ones((len(states), d)))

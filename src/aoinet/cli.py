@@ -190,17 +190,25 @@ def load_sweep_spec(text: str) -> SweepSpec:
         disciplines = tuple(QueueDiscipline(d) for d in raw_disc)
     except ValueError:
         raise ConfigError("unknown discipline in sweep 'disciplines'") from None
+
+    def number(key: str, default: float | None, integer: bool = False):
+        value = sw.get(key, default)
+        if not is_number(value) or (integer and not isinstance(value, int)):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"sweep '{key}' must be {kind}")
+        return value if integer else float(value)
+
     spec = SweepSpec(
         config=config,
         parameter=parameter,
         grid=tuple(float(v) for v in grid),
         engines=tuple(engines),
         disciplines=disciplines,
-        horizon=float(sw.get("horizon", 1e5)),
-        warmup=None if sw.get("warmup") is None else float(sw["warmup"]),
-        seed=int(sw.get("seed", 0)),
-        batches=int(sw.get("batches", 32)),
-        replications=int(sw.get("replications", 1)),
+        horizon=number("horizon", 1e5),
+        warmup=None if sw.get("warmup") is None else number("warmup", None),
+        seed=number("seed", 0, integer=True),
+        batches=number("batches", 32, integer=True),
+        replications=number("replications", 1, integer=True),
     )
     if parameter == "servers" and any(v != int(v) or v < 1 for v in spec.grid):
         raise ConfigError("servers grid values must be positive integers")

@@ -141,6 +141,14 @@ def is_number(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def positive_rate(name: str, value: float) -> float:
+    """value as a float; ValueError "<name> must be finite and > 0" otherwise."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0")
+    return value
+
+
 def load_config(text: str) -> NetworkConfig:
     """Parse a JSON config document and validate it.
 

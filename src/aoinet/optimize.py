@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import aoi_hetero_n2, aoi_multi_source_n2
+from .model import positive_rate
 
 # relative half-width below which the two-server split degenerates to 0/0
 _EQUAL_SERVICE_RTOL = 1e-9
@@ -36,12 +37,8 @@ def optimal_weighted_split(
     ages is minimized at rates proportional to sqrt(weight). Equal weights
     give the exactly equal split.
     """
-    lam = float(lam)
-    mu = float(mu)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be finite and > 0")
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError("mu must be finite and > 0")
+    lam = positive_rate("lam", lam)
+    mu = positive_rate("mu", mu)
     weights = [float(w) for w in weights]
     if not weights:
         raise ValueError("need at least one weight")
@@ -76,14 +73,9 @@ def optimal_hetero_split_n2(lam: float, mu1: float, mu2: float) -> SplitResult:
     interior stationary point of the age formula is returned. Equal service
     rates give the equal split, taken as the explicit limit to avoid 0/0.
     """
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be finite and > 0")
-    mu1 = float(mu1)
-    mu2 = float(mu2)
-    for name, v in (("mu1", mu1), ("mu2", mu2)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0")
+    lam = positive_rate("lam", lam)
+    mu1 = positive_rate("mu1", mu1)
+    mu2 = positive_rate("mu2", mu2)
 
     c = mu1 * (lam + mu2) / (mu2 * (lam + mu1))
     boundary = False

@@ -1,9 +1,12 @@
 """Piecewise-linear age processes driven by a finite Markov chain.
 
 The state is a discrete chain q(t) plus a vector of ages x that grow at unit
-rate (where marked) and are linearly reset on transitions: x' = x @ A. Solving
-for the stationary distribution and the per-state expected ages yields the
-average age at the monitor as the sum of the 0-coordinate expectations.
+rate (where marked). Each transition resets the ages by a coordinate map
+`take`: the new x'[c] is the old x[take[c]], or 0 where take[c] = -1 (the
+reset maps of stochastic hybrid systems, Yates & Kaul, IEEE T-IT 2019).
+Solving for the stationary distribution and the per-state expected ages
+yields the average age at the monitor as the sum of the 0-coordinate
+expectations.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import positive_rate
 
 # solved systems must reproduce their equations to this relative residual
 RESIDUAL_RTOL = 1e-10
@@ -28,27 +33,28 @@ class NegativeSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShsTransition:
-    """One Markov transition: source state -> target state at `rate`, ages reset by x' = x @ reset."""
+    """One Markov transition: source state -> target state at `rate`.
+
+    The ages reset by x'[c] = x[take[c]], and x'[c] = 0 where take[c] = -1.
+    """
 
     source: int
     target: int
     rate: float
-    reset: np.ndarray
+    take: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reset", np.asarray(self.reset, dtype=float))
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("transition rate must be finite and > 0")
-        r = self.reset
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError("reset matrix must be square")
-        if not np.all((r == 0) | (r == 1)):
-            raise ValueError("reset matrix entries must be 0 or 1")
-        if np.any(r.sum(axis=0) > 1):
-            raise ValueError(
-                "reset matrix columns must have at most one 1 "
-                "(each new coordinate copies at most one old one)"
-            )
+        object.__setattr__(self, "rate", positive_rate("transition rate", self.rate))
+        take = np.asarray(self.take)
+        is_map = take.ndim == 1 and take.dtype.kind in "iu"
+        if not (is_map and np.all((take >= -1) & (take < take.size))):
+            raise ValueError("reset map must be a 1-D integer array in [-1, d)")
+        object.__setattr__(self, "take", take)
+
+    @property
+    def reset(self) -> np.ndarray:
+        """The reset as the 0/1 matrix A of x' = x @ A: A[r, c] = 1 where take[c] == r."""
+        return np.equal.outer(np.arange(self.take.size), self.take).astype(float)
 
 
 @dataclass
@@ -75,8 +81,8 @@ class ShsModel:
         for t in self.transitions:
             if not (0 <= t.source < self.num_states and 0 <= t.target < self.num_states):
                 raise ValueError("transition state index out of range")
-            if t.reset.shape != (self.age_dim, self.age_dim):
-                raise ValueError("reset matrix shape must match age_dim")
+            if t.take.shape != (self.age_dim,):
+                raise ValueError("reset map shape must be (age_dim,)")
 
     def exit_rates(self) -> np.ndarray:
         out = np.zeros(self.num_states)
@@ -151,15 +157,32 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
     return float(np.max(np.abs(out_flow - in_flow) / scale))
 
 
+def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(equation, unknown, rate) of each copy term of the age equations.
+
+    Transition t adds t.rate * v[source, take[c]] to the equation of
+    (target, c) for every kept coordinate c. Equations and unknowns are flat
+    indices, state-major; terms come in transition order.
+    """
+    d = model.age_dim
+    trans = model.transitions
+    take = np.array([t.take for t in trans], dtype=np.intp).reshape(-1, d)
+    source = np.array([t.source for t in trans], dtype=np.intp)
+    target = np.array([t.target for t in trans], dtype=np.intp)
+    rate = np.array([t.rate for t in trans], dtype=float)
+    k, c = np.nonzero(take >= 0)
+    return target[k] * d + c, source[k] * d + take[k, c], rate[k]
+
+
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     """Worst relative residual of the expected-age equations for a solution v."""
+    eq, unknown, rate = _age_terms(model)
+    term = rate * v.ravel()[unknown]
     lhs = model.exit_rates()[:, None] * v
     rhs = model.growth * pi[:, None]
     scale = np.abs(lhs) + np.abs(rhs)
-    for t in model.transitions:
-        term = t.rate * (v[t.source] @ t.reset)
-        rhs[t.target] += term
-        scale[t.target] += np.abs(term)
+    rhs += np.bincount(eq, weights=term, minlength=v.size).reshape(v.shape)
+    scale += np.bincount(eq, weights=np.abs(term), minlength=v.size).reshape(v.shape)
     scale = np.maximum(scale, 1e-300)
     return float(np.max(np.abs(lhs - rhs) / scale))
 
@@ -193,10 +216,11 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
 def solve_age(model: ShsModel) -> ShsSolution:
     """Solve for expected age correlations and the average age at the monitor.
 
-    For each state q and coordinate k the unknown v[q, k] satisfies
+    For each state q and coordinate c the unknown v[q, c] satisfies
 
-        exit_rate(q) * v[q] = growth[q] * pi[q] + sum over transitions into q of
-                              rate * (v[source] @ reset)
+        exit_rate(q) * v[q, c] = growth[q, c] * pi[q] + sum over transitions
+                                 into q with take[c] >= 0 of
+                                 rate * v[source, take[c]]
 
     and the average age is the sum of v[:, 0]. Unknowns are laid out
     state-major, coordinate-minor.
@@ -206,10 +230,9 @@ def solve_age(model: ShsModel) -> ShsSolution:
     n = s * d
     m = np.zeros((n, n))
     m.flat[:: n + 1] = np.repeat(model.exit_rates(), d)
-    for t in model.transitions:
-        rows, cols = np.nonzero(t.reset)
-        # coordinate `cols` of the target equation picks up rate * v[source, rows]
-        m[t.target * d + cols, t.source * d + rows] -= t.rate
+    eq, unknown, rate = _age_terms(model)
+    # repeated entries accumulate in transition order
+    np.subtract.at(m, (eq, unknown), rate)
     rhs = (model.growth * pi[:, None]).ravel()
     flat = _solve(m, rhs, "age")
     worst = age_residual(model, pi, flat.reshape(s, d))

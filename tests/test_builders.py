@@ -1,6 +1,8 @@
 """Model builders checked against hand-written resets and balance identities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoinet.analytic import aoi_lcfs_homogeneous
 from aoinet.builders import (
@@ -246,17 +248,25 @@ def test_hetero_at_the_server_cap():
     assert het == pytest.approx(aoi_lcfs_homogeneous(6, lam, mu), rel=1e-9)
 
 
-def test_hetero_relabeling_invariance():
-    lams = [0.5, 1.0, 1.5]
-    mus = [1.0, 2.0, 0.7]
-    base = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
-    perm = [2, 0, 1]
-    shuffled = solve_age(
-        build_heterogeneous_single_source(
-            [lams[i] for i in perm], [mus[i] for i in perm]
+_RATE = st.floats(0.1, 10.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(_RATE, _RATE), min_size=n, max_size=n),
+            st.permutations(range(n)),
         )
-    ).aoi
-    assert shuffled == pytest.approx(base, rel=1e-12)
+    )
+)
+def test_hetero_relabeling_invariance(case):
+    # permuting the (lambda_j, mu_j) pairs only renumbers the servers
+    pairs, perm = case
+    base = solve_age(build_heterogeneous_single_source(*zip(*pairs))).aoi
+    shuffled = [pairs[i] for i in perm]
+    relabeled = solve_age(build_heterogeneous_single_source(*zip(*shuffled))).aoi
+    assert relabeled == pytest.approx(base, rel=1e-12)
 
 
 def test_hetero_rate_scaling():

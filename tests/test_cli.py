@@ -487,6 +487,24 @@ def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in ("horizon", "warmup", "seed", "batches", "replications")
+        for value in (None, True, "x")
+        # a null warmup means the default, 1% of the horizon
+        if not (field == "warmup" and value is None)
+    ],
+)
+def test_main_sweep_rejects_malformed_run_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        sweep_doc(parameter="servers", grid=[1], engines=["analytic"], **{field: value})
+    )
+    assert_one_line_exit_2(capsys, ["sweep", "--spec", str(path)], field)
+
+
+@pytest.mark.parametrize(
     "field, value", [("arrival_rates", [[True, 1.0]]), ("service_rates", [True, 1.0])]
 )
 def test_main_analytic_rejects_bool_rates(tmp_path, capsys, field, value):

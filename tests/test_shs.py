@@ -1,6 +1,8 @@
 """Generic chain-plus-ages solver: linear algebra, ergodicity gates, known solutions."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoinet.builders import build_single_source_homogeneous
 from aoinet.shs import (
@@ -16,43 +18,51 @@ from aoinet.shs import (
 
 
 def two_state_cycle(r01=1.0, r10=2.0):
-    eye = np.eye(2)
+    keep = [0, 1]
     return ShsModel(
         2,
         2,
-        (ShsTransition(0, 1, r01, eye), ShsTransition(1, 0, r10, eye)),
+        (ShsTransition(0, 1, r01, keep), ShsTransition(1, 0, r10, keep)),
         np.ones((2, 2)),
     )
 
 
 def test_transition_rejects_bad_rate():
     with pytest.raises(ValueError, match="rate"):
-        ShsTransition(0, 0, 0.0, np.eye(2))
+        ShsTransition(0, 0, 0.0, [0, 1])
     with pytest.raises(ValueError, match="rate"):
-        ShsTransition(0, 0, float("nan"), np.eye(2))
+        ShsTransition(0, 0, float("nan"), [0, 1])
 
 
-def test_transition_rejects_non_square_reset():
-    with pytest.raises(ValueError, match="square"):
-        ShsTransition(0, 0, 1.0, np.zeros((2, 3)))
+@pytest.mark.parametrize(
+    "take",
+    [[0, 2], [-2, 0], [0.0, 1.0], [0.5, 1], [True, False], np.eye(2, dtype=int)],
+    ids=["past-end", "below-minus-one", "float", "fraction", "bool", "matrix"],
+)
+def test_transition_rejects_bad_map(take):
+    # out of range, non-integer (never truncated), or not a 1-D map at all
+    with pytest.raises(ValueError, match="reset map"):
+        ShsTransition(0, 0, 1.0, take)
 
 
-def test_transition_rejects_non_binary_reset():
-    with pytest.raises(ValueError, match="0 or 1"):
-        ShsTransition(0, 0, 1.0, np.full((2, 2), 0.5))
-
-
-def test_transition_rejects_fan_in_column():
-    # a new coordinate cannot copy two old ones at once
-    a = np.zeros((2, 2))
-    a[0, 0] = a[1, 0] = 1.0
-    with pytest.raises(ValueError, match="column"):
-        ShsTransition(0, 0, 1.0, a)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-1, d - 1), min_size=d, max_size=d),
+            st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+        )
+    )
+)
+def test_reset_matrix_applies_the_map(case):
+    take, x = (np.array(a) for a in case)
+    t = ShsTransition(0, 0, 1.0, take)
+    assert np.array_equal(x @ t.reset, np.where(take >= 0, x[take], 0.0))
 
 
 def test_model_rejects_out_of_range_state():
     with pytest.raises(ValueError, match="out of range"):
-        ShsModel(1, 2, (ShsTransition(0, 1, 1.0, np.eye(2)),), np.ones((1, 2)))
+        ShsModel(1, 2, (ShsTransition(0, 1, 1.0, [0, 1]),), np.ones((1, 2)))
 
 
 def test_model_rejects_bad_growth_shape():
@@ -62,7 +72,7 @@ def test_model_rejects_bad_growth_shape():
 
 def test_model_rejects_reset_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        ShsModel(1, 3, (ShsTransition(0, 0, 1.0, np.eye(2)),), np.ones((1, 3)))
+        ShsModel(1, 3, (ShsTransition(0, 0, 1.0, [0, 1]),), np.ones((1, 3)))
 
 
 def test_exit_rates_sum_per_state():
@@ -71,7 +81,7 @@ def test_exit_rates_sum_per_state():
 
 
 def test_stationary_single_state():
-    m = ShsModel(1, 2, (ShsTransition(0, 0, 3.0, np.eye(2)),), np.ones((1, 2)))
+    m = ShsModel(1, 2, (ShsTransition(0, 0, 3.0, [0, 1]),), np.ones((1, 2)))
     assert np.allclose(stationary_distribution(m), [1.0])
 
 
@@ -86,7 +96,7 @@ def test_stationary_rejects_reducible_chain():
     m = ShsModel(
         2,
         1,
-        (ShsTransition(0, 1, 1.0, np.eye(1)), ShsTransition(1, 1, 1.0, np.eye(1))),
+        (ShsTransition(0, 1, 1.0, [0]), ShsTransition(1, 1, 1.0, [0])),
         np.ones((2, 1)),
     )
     with pytest.raises(NonErgodicError, match="irreducible"):
@@ -99,9 +109,9 @@ def test_balance_residual_is_termwise():
         1,
         2,
         (
-            ShsTransition(0, 0, 1.3, np.eye(2)),
-            ShsTransition(0, 0, 0.7, np.eye(2)),
-            ShsTransition(0, 0, 2.0, np.eye(2)),
+            ShsTransition(0, 0, 1.3, [0, 1]),
+            ShsTransition(0, 0, 0.7, [0, 1]),
+            ShsTransition(0, 0, 2.0, [0, 1]),
         ),
         np.ones((1, 2)),
     )
@@ -159,14 +169,14 @@ def test_rate_scaling_inverts_age():
 
 def test_solve_age_singular_age_system():
     # self-loop that preserves the growing coordinate: no finite expectation
-    m = ShsModel(1, 1, (ShsTransition(0, 0, 1.0, np.eye(1)),), np.ones((1, 1)))
+    m = ShsModel(1, 1, (ShsTransition(0, 0, 1.0, [0]),), np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(m)
 
 
 def test_solve_age_non_finite_solution():
     # a subnormal reset rate is not exactly singular, but its age overflows
-    m = ShsModel(1, 1, (ShsTransition(0, 0, 1e-320, np.zeros((1, 1))),), np.ones((1, 1)))
+    m = ShsModel(1, 1, (ShsTransition(0, 0, 1e-320, [-1]),), np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="not finite"):
         solve_age(m)
 

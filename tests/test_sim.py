@@ -151,10 +151,10 @@ def lcfs_w_reference_model(lam, mu):
     States: idle, serving, serving with a waiter. Coordinates: monitor age,
     in-service update age, waiting update age.
     """
-    fresh_service = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    new_waiter = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    deliver_to_idle = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-    deliver_promote = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    fresh_service = [0, -1, -1]
+    new_waiter = [0, 1, -1]
+    deliver_to_idle = [1, -1, -1]
+    deliver_promote = [1, 2, -1]
     transitions = (
         ShsTransition(0, 1, lam, fresh_service),
         ShsTransition(1, 2, lam, new_waiter),
