@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -186,6 +186,8 @@ def load_sweep_spec(text: str) -> SweepSpec:
     ):
         raise ConfigError(f"sweep engines must be drawn from {', '.join(_ENGINE_NAMES)}")
     raw_disc = sw.get("disciplines", [config.discipline.value])
+    if not isinstance(raw_disc, list) or not raw_disc:
+        raise ConfigError("sweep 'disciplines' must be a non-empty list of discipline names")
     try:
         disciplines = tuple(QueueDiscipline(d) for d in raw_disc)
     except ValueError:
@@ -276,53 +278,46 @@ def _max_workers(points: int) -> int:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point with every engine; rows stay in grid order."""
+    jobs = []  # (row label, simulated discipline or None), in row order
+    for engine in spec.engines:
+        if engine == "sim":
+            jobs += [(f"sim:{d.value}", d) for d in spec.disciplines]
+        else:
+            jobs.append((engine, None))
+
+    def job_values(cfg: NetworkConfig, label: str, disc, sources) -> list[tuple]:
+        """(aoi, ci_half_width) for each of `sources` from one job."""
+        if disc is None:
+            fn = closed_form_aoi if label == "analytic" else chain_aoi
+            return [(fn(cfg, i), None) for i in sources]
+        params = SimParams(
+            replace(cfg, discipline=disc), spec.horizon, spec.seed, spec.warmup, spec.batches
+        )
+        result = replicate(params, spec.replications)
+        return list(zip(result.aoi, result.ci_half_width))
 
     def point_rows(value: float) -> list[SweepRow]:
-        rows: list[SweepRow] = []
+        def failed(label: str, sources, e: Exception) -> list[SweepRow]:
+            return [SweepRow(value, label, i, None, None, str(e)) for i in sources]
+
         try:
             cfg = apply_parameter(spec.config, spec.parameter, value)
         except (ValueError, RuntimeError) as e:
-            for engine in spec.engines:
-                labels = (
-                    [f"sim:{d.value}" for d in spec.disciplines]
-                    if engine == "sim"
-                    else [engine]
-                )
-                rows.extend(
-                    SweepRow(value, label, 0, None, None, str(e)) for label in labels
-                )
-            return rows
-        for engine in spec.engines:
-            if engine in ("analytic", "shs"):
-                fn = closed_form_aoi if engine == "analytic" else chain_aoi
-                for i in range(cfg.sources):
-                    try:
-                        rows.append(SweepRow(value, engine, i, fn(cfg, i), None))
-                    except (ValueError, RuntimeError) as e:
-                        rows.append(SweepRow(value, engine, i, None, None, str(e)))
+            return [row for label, _ in jobs for row in failed(label, [0], e)]
+        rows: list[SweepRow] = []
+        for label, disc in jobs:
+            # a closed form or chain fails per source; one simulation covers all
+            if disc is None:
+                groups = [[i] for i in range(cfg.sources)]
             else:
-                for disc in spec.disciplines:
-                    label = f"sim:{disc.value}"
-                    try:
-                        result = replicate(
-                            SimParams(
-                                config=replace(cfg, discipline=disc),
-                                horizon=spec.horizon,
-                                seed=spec.seed,
-                                warmup=spec.warmup,
-                                batches=spec.batches,
-                            ),
-                            spec.replications,
-                        )
-                        rows.extend(
-                            SweepRow(value, label, i, result.aoi[i], result.ci_half_width[i])
-                            for i in range(cfg.sources)
-                        )
-                    except (ValueError, RuntimeError) as e:
-                        rows.extend(
-                            SweepRow(value, label, i, None, None, str(e))
-                            for i in range(cfg.sources)
-                        )
+                groups = [range(cfg.sources)]
+            for sources in groups:
+                try:
+                    found = job_values(cfg, label, disc, sources)
+                except (ValueError, RuntimeError) as e:
+                    rows += failed(label, sources, e)
+                else:
+                    rows += [SweepRow(value, label, i, *v) for i, v in zip(sources, found)]
         return rows
 
     with ThreadPoolExecutor(max_workers=_max_workers(len(spec.grid))) as ex:
@@ -355,26 +350,9 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def sweep_json(result: SweepResult) -> str:
-    doc = {
-        "metadata": {
-            "seed": result.seed,
-            "horizon": result.horizon,
-            "timestamp": result.timestamp,
-            "version": result.version,
-        },
-        "rows": [
-            {
-                "param": r.param,
-                "engine": r.engine,
-                "source": r.source,
-                "aoi": r.aoi,
-                "ci_half_width": r.ci_half_width,
-                "error": r.error,
-            }
-            for r in result.rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    metadata = asdict(result)
+    rows = metadata.pop("rows")
+    return json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n"
 
 
 def _read_spec_text(name: str) -> str:
@@ -397,24 +375,22 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_analytic(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config).read_text(encoding="utf-8"))
     entries = []
-    values = {}
     for i in range(config.sources):
         entry: dict[str, object] = {"source": i}
         for name, fn in (("analytic", closed_form_aoi), ("shs", chain_aoi)):
             try:
                 entry[name] = fn(config, i)
-                values.setdefault(i, {})[name] = entry[name]
             except (ValueError, RuntimeError) as e:
                 entry[f"{name}_error"] = str(e)
         entries.append(entry)
-    if not values:
+    if not any("analytic" in e or "shs" in e for e in entries):
         sys.stderr.write("aoinet: error: no analytic engine applies: "
                          f"{entries[0].get('analytic_error', '')}\n")
         return 2
     disagreements = [
-        abs(v["analytic"] - v["shs"]) / max(abs(v["analytic"]), abs(v["shs"]))
-        for v in values.values()
-        if "analytic" in v and "shs" in v
+        abs(e["analytic"] - e["shs"]) / max(abs(e["analytic"]), abs(e["shs"]))
+        for e in entries
+        if "analytic" in e and "shs" in e
     ]
     worst = max(disagreements) if disagreements else None
     if args.format == "json":
@@ -449,18 +425,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = replicate(params, args.replications)
     if args.format == "json":
-        doc = {
-            "aoi": list(result.aoi),
-            "ci_half_width": list(result.ci_half_width),
-            "deliveries": result.deliveries,
-            "useful_deliveries": result.useful_deliveries,
-            "discarded_stale": result.discarded_stale,
-            "seed": result.seed,
-            "horizon": result.horizon,
-            "warmup": result.warmup,
-            "replications": result.replications,
-        }
-        _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+        _write_out(json.dumps(asdict(result), indent=2) + "\n", args.out)
     else:
         lines = [
             f"source {i}: aoi={_fmt(a)} ci_half_width={_fmt(c)}"
@@ -510,13 +475,7 @@ def load_optimize_spec(text: str) -> tuple[float, float, tuple[float, ...]]:
 
 def _optimize_report(split, delta: float | None, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        doc = {
-            "rates": list(split.rates),
-            "objective": split.objective,
-            "boundary": split.boundary,
-            "grid_delta": delta,
-        }
-        _write_out(json.dumps(doc, indent=2) + "\n", out)
+        _write_out(json.dumps({**asdict(split), "grid_delta": delta}, indent=2) + "\n", out)
     else:
         lines = [
             "rates: " + " ".join(_fmt(r) for r in split.rates),
@@ -528,13 +487,16 @@ def _optimize_report(split, delta: float | None, fmt: str, out: str | None) -> N
         _write_out("\n".join(lines) + "\n", out)
 
 
+def _grid_delta(split, objective, lam: float, eps: float = 0.0) -> float:
+    """Distance of the split's first rate from a golden-section search on [eps, lam - eps]."""
+    gx, _ = grid_minimize(objective, eps, lam - eps, tol=1e-9 * lam)
+    return abs(split.rates[0] - gx)
+
+
 def _hetero_n2_split(lam: float, mu1: float, mu2: float):
     """Closed-form two-server split and its distance from a golden-section search."""
     split = optimal_hetero_split_n2(lam, mu1, mu2)
-    gx, _ = grid_minimize(
-        lambda l1: aoi_hetero_n2(l1, lam - l1, mu1, mu2), 0.0, lam, tol=1e-9 * lam
-    )
-    return split, abs(split.rates[0] - gx)
+    return split, _grid_delta(split, lambda l1: aoi_hetero_n2(l1, lam - l1, mu1, mu2), lam)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -556,16 +518,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         split = optimal_weighted_split(weights, args.total, args.mu)
         delta = None
         if len(weights) == 2:
-            lam = args.total
-            eps = 1e-9 * lam
-
-            def objective(l1: float) -> float:
-                return weights[0] * aoi_multi_source_n2(l1, lam, args.mu) + weights[
-                    1
-                ] * aoi_multi_source_n2(lam - l1, lam, args.mu)
-
-            gx, _ = grid_minimize(objective, eps, lam - eps, tol=1e-9 * lam)
-            delta = abs(split.rates[0] - gx)
+            (w1, w2), lam, mu = weights, args.total, args.mu
+            delta = _grid_delta(
+                split,
+                lambda l1: w1 * aoi_multi_source_n2(l1, lam, mu)
+                + w2 * aoi_multi_source_n2(lam - l1, lam, mu),
+                lam,
+                eps=1e-9 * lam,
+            )
         _optimize_report(split, delta, args.format, args.out)
         return 0
 

@@ -13,7 +13,7 @@ draws are identical no matter what the rest of the system does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,9 @@ def _deliveries_fcfs(t, src, svc_rng, mu, horizon):
 
 
 def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
-    svc = svc_rng.exponential(1.0 / mu, size=t.size)  # consumed per service start
+    # a pseudo-arrival at the horizon flushes every completion up to it; its
+    # spare draw comes last, so the real arrivals' service times are unchanged
+    svc = svc_rng.exponential(1.0 / mu, size=t.size + 1)  # consumed per service start
     out_t: list[float] = []
     out_g: list[float] = []
     out_s: list[int] = []
@@ -116,7 +118,10 @@ def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
     waiter: tuple[float, int] | None = None
     idle = True
     si = 0
-    for tk, sk in zip(t.tolist(), src.tolist()):
+    times, labels = t.tolist(), src.tolist()
+    times.append(horizon)
+    labels.append(-1)
+    for tk, sk in zip(times, labels):
         while not idle and busy_until <= tk:
             out_t.append(busy_until)
             out_g.append(cur_g)
@@ -135,17 +140,6 @@ def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
             idle = False
         else:
             waiter = (tk, sk)  # newest arrival displaces any older waiter
-    while not idle and busy_until <= horizon:
-        out_t.append(busy_until)
-        out_g.append(cur_g)
-        out_s.append(cur_s)
-        if waiter is None:
-            idle = True
-        else:
-            cur_g, cur_s = waiter
-            waiter = None
-            busy_until += svc[si]
-            si += 1
     return np.asarray(out_t), np.asarray(out_g), np.asarray(out_s, dtype=int)
 
 
@@ -217,22 +211,14 @@ def simulate(params: SimParams) -> SimResult:
     engine = _ENGINES[cfg.discipline]
     all_t, all_g, all_s = [], [], []
     for j in range(n):
-        times = []
-        labels = []
-        for i in range(m):
-            rate = cfg.arrival_rates[i][j]
-            if rate > 0.0:
-                t = _poisson_times(_stream(seed, i * n + j), rate, horizon)
-                times.append(t)
-                labels.append(np.full(t.size, i, dtype=int))
-        if times:
-            t = np.concatenate(times)
-            s = np.concatenate(labels)
-            order = np.argsort(t, kind="stable")
-            t, s = t[order], s[order]
-        else:
-            t = np.empty(0)
-            s = np.empty(0, dtype=int)
+        times = [
+            _poisson_times(_stream(seed, i * n + j), cfg.arrival_rates[i][j], horizon)
+            for i in range(m)
+        ]
+        t = np.concatenate(times)
+        s = np.repeat(np.arange(m), [x.size for x in times])
+        order = np.argsort(t, kind="stable")
+        t, s = t[order], s[order]
         d, g, ds = engine(t, s, _stream(seed, m * n + j), cfg.service_rates[j], horizon)
         all_t.append(d)
         all_g.append(g)
@@ -278,27 +264,19 @@ def replicate(params: SimParams, replications: int) -> SimResult:
         raise ValueError("replications must be a positive integer")
     if replications == 1:
         return simulate(params)
-    runs = []
-    for r in range(replications):
-        p = SimParams(
-            config=params.config,
-            horizon=params.horizon,
-            seed=int(params.seed) + r,
-            warmup=params.warmup,
-            batches=params.batches,
-        )
-        runs.append(simulate(p))
+    runs = [
+        simulate(replace(params, seed=int(params.seed) + r)) for r in range(replications)
+    ]
     per_source = np.array([run.aoi for run in runs])  # (reps, sources)
     mean = per_source.mean(axis=0)
     ci = _Z95 * per_source.std(axis=0, ddof=1) / math.sqrt(replications)
-    return SimResult(
+    # the first run already carries seed, horizon and warmup
+    return replace(
+        runs[0],
         aoi=tuple(float(x) for x in mean),
         ci_half_width=tuple(float(x) for x in ci),
         deliveries=sum(r.deliveries for r in runs),
         useful_deliveries=sum(r.useful_deliveries for r in runs),
         discarded_stale=sum(r.discarded_stale for r in runs),
-        seed=int(params.seed),
-        horizon=float(params.horizon),
-        warmup=runs[0].warmup,
         replications=replications,
     )

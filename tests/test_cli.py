@@ -1,5 +1,6 @@
 """CLI surface: engine routing, sweep specs, artifacts, exit codes."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from aoinet.cli import (
     _read_spec_text,
 )
 from aoinet.model import ConfigError, NetworkConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def cfg(m=1, n=2, rates=None, mus=None, disc="lcfs-s"):
@@ -494,7 +497,8 @@ def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
         for value in (None, True, "x")
         # a null warmup means the default, 1% of the horizon
         if not (field == "warmup" and value is None)
-    ],
+    ]
+    + [("disciplines", value) for value in (None, 5, "fcfs", [])],
 )
 def test_main_sweep_rejects_malformed_run_fields(tmp_path, capsys, field, value):
     path = tmp_path / "spec.json"
@@ -521,6 +525,24 @@ def test_main_optimize_recipe(tmp_path):
     assert len(lines) > 10
     for line in lines[1:]:
         assert float(line.split(",")[-1]) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["sweep", "--spec", "fig4"], "sweep_fig4.csv"),
+        (["optimize", "--spec", "fig5"], "optimize_fig5.csv"),
+        (
+            ["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30",
+             "--mu2", "70", "--format", "json"],
+            "optimize_hetero_n2.json",
+        ),
+    ],
+)
+def test_main_output_matches_golden(capsys, argv, golden):
+    # closed forms and small chain solves only, so the bytes hold across machines
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
 def test_main_missing_file(capsys):

@@ -1,11 +1,22 @@
 """Event-driven simulator: determinism, exact integration, independent references."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoinet.analytic import aoi_multi_source_n2
 from aoinet.model import NetworkConfig
 from aoinet.shs import ShsModel, ShsTransition, solve_age
-from aoinet.sim import SimParams, SimResult, _integrate_source, replicate, simulate
+from aoinet.sim import (
+    SimParams,
+    SimResult,
+    _deliveries_lcfs_w,
+    _integrate_source,
+    replicate,
+    simulate,
+)
 
 
 def cfg(m=1, n=1, rates=None, mus=None, disc="lcfs-s"):
@@ -130,6 +141,28 @@ def test_replicate_pools_counters_and_tightens():
     assert r16.ci_half_width[0] < r4.ci_half_width[0]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 2),
+    n=st.integers(1, 2),
+    disc=st.sampled_from(["lcfs-s", "lcfs-w", "fcfs"]),
+    seed=st.integers(0, 2**32),
+    horizon=st.floats(20.0, 200.0),
+    k=st.integers(1, 4),
+)
+def test_replicate_counters_are_additive(m, n, disc, seed, horizon, k):
+    # rates low enough that fcfs is stable with every source on one server
+    p = SimParams(cfg(m, n, [[0.3] * n] * m, [1.0] * n, disc), horizon, seed=seed, batches=4)
+    runs = [simulate(replace(p, seed=seed + r)) for r in range(k)]
+    pooled = replicate(p, k)
+    assert pooled.deliveries == sum(r.deliveries for r in runs)
+    assert pooled.useful_deliveries == sum(r.useful_deliveries for r in runs)
+    assert pooled.discarded_stale == sum(r.discarded_stale for r in runs)
+    mean = np.mean([r.aoi for r in runs], axis=0)
+    assert pooled.aoi == pytest.approx(tuple(mean), rel=1e-12)
+    assert (pooled.seed, pooled.horizon, pooled.replications) == (seed, horizon, k)
+
+
 def test_replicate_validation():
     p = SimParams(cfg(), 100.0)
     with pytest.raises(ValueError, match="replications"):
@@ -143,6 +176,45 @@ def test_fcfs_single_server_reference():
     target = (1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
     r = replicate(SimParams(cfg(rates=[[lam]], disc="fcfs"), 200000.0, seed=5), 4)
     assert close_enough(r.aoi[0], target, r.ci_half_width[0])
+
+
+class StubService:
+    """Service times in draw order; draws past the given ones are never reached."""
+
+    def __init__(self, *times):
+        self.times = list(times)
+
+    def exponential(self, scale, size):
+        return np.array((self.times + [1e9] * size)[:size])
+
+
+@pytest.mark.parametrize(
+    "arrivals, services, horizon, delivered",
+    [
+        pytest.param([], [], 10.0, [], id="no-arrivals"),
+        # the completion at 2 comes first, so the arrival at 2 finds the server idle
+        pytest.param([0.0, 2.0], [2.0, 1.0], 10.0, [(2.0, 0.0), (3.0, 2.0)],
+                     id="completion-at-arrival"),
+        # the waiter from 1 is promoted at 2 before the arrival at 2 can displace it
+        pytest.param([0.0, 1.0, 2.0], [2.0, 1.0, 0.5], 10.0,
+                     [(2.0, 0.0), (3.0, 1.0), (3.5, 2.0)],
+                     id="completion-at-arrival-promotes-waiter"),
+        pytest.param([1.0], [2.0], 3.0, [(3.0, 1.0)], id="completion-at-horizon"),
+        pytest.param([0.0, 1.0], [5.0, 1.0], 4.0, [], id="waiter-pending-at-horizon"),
+        pytest.param([0.0, 1.0, 2.0], [3.0, 1.0], 10.0, [(3.0, 0.0), (4.0, 2.0)],
+                     id="newer-waiter-displaces-older"),
+    ],
+)
+def test_lcfs_w_deliveries_hand_cases(arrivals, services, horizon, delivered):
+    t = np.array(arrivals, dtype=float)
+    src = np.arange(t.size)  # label each arrival by its index
+    done, gen, who = _deliveries_lcfs_w(t, src, StubService(*services), 1.0, horizon)
+    expected_done = [d for d, _ in delivered]
+    expected_gen = [g for _, g in delivered]
+    np.testing.assert_array_equal(done, np.array(expected_done, dtype=float))
+    np.testing.assert_array_equal(gen, np.array(expected_gen, dtype=float))
+    np.testing.assert_array_equal(who, np.searchsorted(t, expected_gen))
+    assert done.dtype == gen.dtype == np.float64 and who.dtype.kind == "i"
 
 
 def lcfs_w_reference_model(lam, mu):
