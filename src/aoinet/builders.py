@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import positive_rate
-from .shs import ShsModel, ShsTransition
+from .shs import ShsModel
 
 
 def _arrival_take(d: int, slot: int) -> np.ndarray:
@@ -78,19 +78,19 @@ def build_multi_source_homogeneous(
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
     d = n + 1
-    transitions = []
-    for slot in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, lam_i, _arrival_take(d, slot)))
+    slots = range(1, n + 1)
+    rate = [lam_i] * n
+    take = [_arrival_take(d, slot) for slot in slots]
     if lam_bar > 0:
-        for slot in range(1, n + 1):
-            # the occupant of `slot` is dropped, staler slots move one slot
-            # fresher, and the displaced server's monitor-age content is
-            # appended as the stalest coordinate
-            take = np.r_[0:slot, slot + 1 : d, 0]
-            transitions.append(ShsTransition(0, 0, lam_bar, take))
-    for k in range(1, n + 1):
-        transitions.append(ShsTransition(0, 0, mu, _delivery_take(d, k)))
-    return ShsModel(1, d, tuple(transitions), np.ones((1, d)))
+        # the occupant of `slot` is dropped, staler slots move one slot
+        # fresher, and the displaced server's monitor-age content is
+        # appended as the stalest coordinate
+        rate += [lam_bar] * n
+        take += [np.r_[0:slot, slot + 1 : d, 0] for slot in slots]
+    rate += [mu] * n
+    take += [_delivery_take(d, k) for k in slots]
+    state = np.zeros(len(rate), dtype=np.intp)  # every transition is a self-loop
+    return ShsModel(1, d, state, state, np.array(rate), np.array(take), np.ones((1, d)))
 
 
 def build_heterogeneous_single_source(
@@ -105,9 +105,13 @@ def build_heterogeneous_single_source(
     j refreshes the monitor and every server at j's rank or staler, leaving
     the ordering unchanged (self-loop).
 
-    Capped at n <= 6: the dense age system has n! * (n + 1) unknowns, and at
-    n = 6 (5040 unknowns) the solve takes seconds and about 0.45 GB; at n = 7
-    its matrix alone would be about 13 GB.
+    The chain is written as whole arrays (all orderings at once), in the
+    order: per state, its n arrivals, then its n deliveries by rank.
+
+    Capped at n <= 6: the dense age system has n! * (n + 1) unknowns. At
+    n = 6 (720 states, 5040 unknowns) the build takes about 2 ms and the
+    solve about 1.5 s with a 0.44 GB peak (2-vCPU x86 machine, numpy 2.4);
+    at n = 7 the age matrix alone would be about 13 GB.
     """
     lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
     mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
@@ -119,21 +123,42 @@ def build_heterogeneous_single_source(
     if n > 6:
         raise ValueError("heterogeneous builder supports at most 6 servers")
 
-    states = list(itertools.permutations(range(n)))
-    index = {p: q for q, p in enumerate(states)}
+    # state q is the q-th ordering in lexicographic order; read as base-n
+    # numbers the orderings are sorted, so a rank is one searchsorted
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    num_states = len(perms)
+    place = n ** np.arange(n - 1, -1, -1)
+    servers = np.arange(n)
     d = n + 1
-    transitions = []
-    for q, perm in enumerate(states):
-        for j in range(n):
-            take = np.arange(d)
-            take[j + 1] = -1  # server j's age resets to zero
-            target = index[(j,) + tuple(k for k in perm if k != j)]
-            transitions.append(ShsTransition(q, target, lams[j], take))
-        coords = np.array(perm) + 1
-        for pos, j in enumerate(perm):
-            # the monitor and every server at j's rank or staler take x_j
-            take = np.arange(d)
-            take[0] = j + 1
-            take[coords[pos:]] = j + 1
-            transitions.append(ShsTransition(q, q, mus[j], take))
-    return ShsModel(len(states), d, tuple(transitions), np.ones((len(states), d)))
+
+    # arrival at server j (axis 1): j moves to the front, the others keep
+    # their order, and server j's age resets to zero
+    others = perms[:, None, :] != servers[:, None]
+    rest = np.broadcast_to(perms[:, None, :], (num_states, n, n))[others]
+    key = servers * place[0] + rest.reshape(num_states, n, n - 1) @ place[1:]
+    arrival_target = np.searchsorted(perms @ place, key)
+    arrival_take = np.tile(np.arange(d), (n, 1))
+    arrival_take[servers, servers + 1] = -1
+
+    # delivery from the server at rank pos (axis 1): the monitor and every
+    # server at that rank or staler take its age; the ordering is unchanged
+    rank = np.argsort(perms, axis=1)
+    staler = rank[:, None, :] >= servers[:, None]
+    sender = perms[:, :, None] + 1
+    delivery_take = np.concatenate(
+        [sender, np.where(staler, sender, servers + 1)], axis=2
+    )
+
+    # per state: its n arrivals, then its n deliveries
+    state = np.arange(num_states)
+    return ShsModel(
+        num_states,
+        d,
+        source=np.repeat(state, 2 * n),
+        target=np.hstack([arrival_target, np.repeat(state[:, None], n, axis=1)]).ravel(),
+        rate=np.hstack([np.tile(lams, (num_states, 1)), np.array(mus)[perms]]).ravel(),
+        take=np.hstack(
+            [np.broadcast_to(arrival_take, (num_states, n, d)), delivery_take]
+        ).reshape(-1, d),
+        growth=np.ones((num_states, d)),
+    )

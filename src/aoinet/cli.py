@@ -146,6 +146,17 @@ class SweepSpec:
     batches: int = 32
     replications: int = 1
 
+    def __post_init__(self) -> None:
+        # checked again by every dataclasses.replace, so CLI overrides are too
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError("sweep 'horizon' must be finite and > 0")
+        if self.warmup is not None and not (0 <= self.warmup < self.horizon):
+            raise ConfigError("sweep 'warmup' must satisfy 0 <= warmup < horizon")
+        if self.batches < 2:
+            raise ConfigError("sweep 'batches' must be >= 2")
+        if self.replications < 1:
+            raise ConfigError("sweep 'replications' must be >= 1")
+
 
 @dataclass
 class SweepResult:
@@ -441,10 +452,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(_read_spec_text(args.spec))
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.horizon is not None:
-        spec.horizon = args.horizon
+    overrides = {"seed": args.seed, "horizon": args.horizon}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     result = run_sweep(spec)
     text = sweep_json(result) if args.format == "json" else sweep_csv(result)
     _write_out(text, args.out)

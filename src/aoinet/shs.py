@@ -7,10 +7,19 @@ reset maps of stochastic hybrid systems, Yates & Kaul, IEEE T-IT 2019).
 Solving for the stationary distribution and the per-state expected ages
 yields the average age at the monitor as the sum of the 0-coordinate
 expectations.
+
+A model stores its T transitions as one set of arrays, row k being
+transition k: `source`, `target` (integer state indices) and `rate` of shape
+(T,), and `take` of shape (T, d), one reset map per row. The solver reads
+them with vectorized calls (np.bincount, np.subtract.at), which accumulate in
+row order, so the transition order fixes the rounding of every sum.
+`ShsTransition` is the record of one row, for writing small models by hand
+(`ShsModel.from_transitions`) and for reading a model row by row
+(`ShsModel.transitions`).
 """
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +55,7 @@ class ShsTransition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", positive_rate("transition rate", self.rate))
         take = np.asarray(self.take)
-        is_map = take.ndim == 1 and take.dtype.kind in "iu"
-        if not (is_map and np.all((take >= -1) & (take < take.size))):
+        if take.ndim != 1 or not _is_map(take):
             raise ValueError("reset map must be a 1-D integer array in [-1, d)")
         object.__setattr__(self, "take", take)
 
@@ -57,20 +65,29 @@ class ShsTransition:
         return np.equal.outer(np.arange(self.take.size), self.take).astype(float)
 
 
+def _is_map(take: np.ndarray) -> bool:
+    """Integer entries in [-1, d), d being the length of the last axis."""
+    return take.dtype.kind in "iu" and bool(np.all((take >= -1) & (take < take.shape[-1])))
+
+
 @dataclass
 class ShsModel:
     """A chain over `num_states` states with `age_dim` age coordinates.
 
-    growth[q] is the 0/1 vector of coordinates that grow at unit rate in state q.
+    Transition k goes from source[k] to target[k] at rate[k] and resets the
+    ages by the map take[k] (see ShsTransition). growth[q] is the 0/1 vector
+    of coordinates that grow at unit rate in state q.
     """
 
     num_states: int
     age_dim: int
-    transitions: tuple[ShsTransition, ...]
+    source: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+    take: np.ndarray
     growth: np.ndarray
 
     def __post_init__(self) -> None:
-        self.transitions = tuple(self.transitions)
         self.growth = np.asarray(self.growth, dtype=float)
         if self.num_states < 1 or self.age_dim < 1:
             raise ValueError("num_states and age_dim must be >= 1")
@@ -78,17 +95,67 @@ class ShsModel:
             raise ValueError("growth must have shape (num_states, age_dim)")
         if not np.all((self.growth == 0) | (self.growth == 1)):
             raise ValueError("growth entries must be 0 or 1")
-        for t in self.transitions:
-            if not (0 <= t.source < self.num_states and 0 <= t.target < self.num_states):
+        source, target, take = (np.asarray(a) for a in (self.source, self.target, self.take))
+        rate = np.asarray(self.rate, dtype=float)
+        if take.ndim != 2 or any(a.shape != take.shape[:1] for a in (source, target, rate)):
+            raise ValueError("transition arrays must have one entry per row of take")
+        if not np.all(np.isfinite(rate) & (rate > 0)):
+            raise ValueError("transition rate must be finite and > 0")
+        if not _is_map(take):
+            raise ValueError("reset map must be a 1-D integer array in [-1, d)")
+        for q in (source, target):
+            if q.dtype.kind not in "iu" or not np.all((q >= 0) & (q < self.num_states)):
                 raise ValueError("transition state index out of range")
-            if t.take.shape != (self.age_dim,):
-                raise ValueError("reset map shape must be (age_dim,)")
+        if take.shape[1] != self.age_dim:
+            raise ValueError("reset map shape must be (age_dim,)")
+        self.source, self.target, self.take = (
+            a.astype(np.intp, copy=False) for a in (source, target, take)
+        )
+        self.rate = rate
+
+    @classmethod
+    def from_transitions(
+        cls,
+        num_states: int,
+        age_dim: int,
+        transitions: Iterable[ShsTransition],
+        growth: np.ndarray,
+    ) -> ShsModel:
+        """Pack ShsTransition records, in order, into a model's arrays."""
+        trans = tuple(transitions)
+        if any(t.take.shape != (age_dim,) for t in trans):
+            raise ValueError("reset map shape must be (age_dim,)")
+        return cls(
+            num_states,
+            age_dim,
+            source=np.array([t.source for t in trans], dtype=np.intp),
+            target=np.array([t.target for t in trans], dtype=np.intp),
+            rate=np.array([t.rate for t in trans], dtype=float),
+            take=np.array([t.take for t in trans], dtype=np.intp).reshape(-1, age_dim),
+            growth=growth,
+        )
+
+    @property
+    def transitions(self) -> Sequence[ShsTransition]:
+        """The transitions as ShsTransition records, in row order (a read-only view)."""
+        return _TransitionView(self)
 
     def exit_rates(self) -> np.ndarray:
-        out = np.zeros(self.num_states)
-        for t in self.transitions:
-            out[t.source] += t.rate
-        return out
+        return np.bincount(self.source, weights=self.rate, minlength=self.num_states)
+
+
+class _TransitionView(Sequence):
+    """Row k of a model's transition arrays as a ShsTransition record."""
+
+    def __init__(self, model: ShsModel) -> None:
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model.rate.size
+
+    def __getitem__(self, k: int) -> ShsTransition:
+        m = self._model
+        return ShsTransition(int(m.source[k]), int(m.target[k]), float(m.rate[k]), m.take[k])
 
 
 @dataclass
@@ -112,34 +179,26 @@ def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
 
 
 def _strongly_connected(model: ShsModel) -> bool:
-    if model.num_states == 1:
-        return True
-    fwd: list[set[int]] = [set() for _ in range(model.num_states)]
-    bwd: list[set[int]] = [set() for _ in range(model.num_states)]
-    for t in model.transitions:
-        fwd[t.source].add(t.target)
-        bwd[t.target].add(t.source)
+    def reaches_all(frm: np.ndarray, to: np.ndarray) -> bool:
+        # breadth-first from state 0, one whole frontier per step
+        seen = np.zeros(model.num_states, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            step = np.zeros_like(seen)
+            step[to[frontier[frm]]] = True
+            frontier = step & ~seen
+            seen |= step
+        return bool(seen.all())
 
-    def reaches_all(adj: list[set[int]]) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            q = queue.popleft()
-            for r in adj[q]:
-                if r not in seen:
-                    seen.add(r)
-                    queue.append(r)
-        return len(seen) == model.num_states
-
-    return reaches_all(fwd) and reaches_all(bwd)
+    return reaches_all(model.source, model.target) and reaches_all(model.target, model.source)
 
 
 def _balance_matrix(model: ShsModel) -> np.ndarray:
     # row q: (exit rate of q) * pi_q - sum of rate * pi_source over transitions into q
     m = np.zeros((model.num_states, model.num_states))
     np.fill_diagonal(m, model.exit_rates())
-    for t in model.transitions:
-        m[t.target, t.source] -= t.rate
+    np.subtract.at(m, (model.target, model.source), model.rate)
     return m
 
 
@@ -150,9 +209,9 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
     tiny net imbalance on large opposing flows reads as tiny.
     """
     out_flow = model.exit_rates() * pi
-    in_flow = np.zeros(model.num_states)
-    for t in model.transitions:
-        in_flow[t.target] += t.rate * pi[t.source]
+    in_flow = np.bincount(
+        model.target, weights=model.rate * pi[model.source], minlength=model.num_states
+    )
     scale = np.maximum(out_flow + in_flow, 1e-300)
     return float(np.max(np.abs(out_flow - in_flow) / scale))
 
@@ -160,18 +219,13 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
 def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(equation, unknown, rate) of each copy term of the age equations.
 
-    Transition t adds t.rate * v[source, take[c]] to the equation of
-    (target, c) for every kept coordinate c. Equations and unknowns are flat
-    indices, state-major; terms come in transition order.
+    Transition k adds rate[k] * v[source[k], take[k, c]] to the equation of
+    (target[k], c) for every kept coordinate c. Equations and unknowns are
+    flat indices, state-major; terms come in transition order.
     """
-    d = model.age_dim
-    trans = model.transitions
-    take = np.array([t.take for t in trans], dtype=np.intp).reshape(-1, d)
-    source = np.array([t.source for t in trans], dtype=np.intp)
-    target = np.array([t.target for t in trans], dtype=np.intp)
-    rate = np.array([t.rate for t in trans], dtype=float)
+    d, take = model.age_dim, model.take
     k, c = np.nonzero(take >= 0)
-    return target[k] * d + c, source[k] * d + take[k, c], rate[k]
+    return model.target[k] * d + c, model.source[k] * d + take[k, c], model.rate[k]
 
 
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:

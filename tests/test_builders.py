@@ -1,4 +1,6 @@
 """Model builders checked against hand-written resets and balance identities."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from aoinet.builders import (
     build_multi_source_homogeneous,
     build_single_source_homogeneous,
 )
-from aoinet.shs import solve_age, stationary_distribution
+from aoinet.shs import ShsModel, ShsTransition, solve_age, stationary_distribution
 
 
 def transition_key(t):
@@ -288,3 +290,65 @@ def test_hetero_validation():
             build_heterogeneous_single_source([1.0] * n, [1.0] * n)
     with pytest.raises(ValueError, match="arrival_rates\\[1\\]"):
         build_heterogeneous_single_source([1.0, 0.0], [1.0, 1.0])
+
+
+def hetero_oracle(lams, mus):
+    """The distinct-server chain written one transition record at a time.
+
+    A plain loop over orderings and servers, kept as the reference for the
+    array builder: same states, same transitions, same order.
+    """
+    n = len(lams)
+    states = list(itertools.permutations(range(n)))
+    index = {p: q for q, p in enumerate(states)}
+    d = n + 1
+    transitions = []
+    for q, perm in enumerate(states):
+        for j in range(n):
+            take = np.arange(d)
+            take[j + 1] = -1  # server j's age resets to zero
+            target = index[(j,) + tuple(k for k in perm if k != j)]
+            transitions.append(ShsTransition(q, target, lams[j], take))
+        coords = np.array(perm) + 1
+        for pos, j in enumerate(perm):
+            # the monitor and every server at j's rank or staler take x_j
+            take = np.arange(d)
+            take[0] = j + 1
+            take[coords[pos:]] = j + 1
+            transitions.append(ShsTransition(q, q, mus[j], take))
+    return ShsModel.from_transitions(len(states), d, transitions, np.ones((len(states), d)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hetero_matches_the_per_transition_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    lams = rng.uniform(0.1, 5.0, n).tolist()
+    mus = rng.uniform(0.1, 5.0, n).tolist()
+    got = build_heterogeneous_single_source(lams, mus)
+    want = hetero_oracle(lams, mus)
+    assert (got.num_states, got.age_dim) == (want.num_states, want.age_dim)
+    # the same rows in the same order, so every sum rounds the same way
+    for field in ("source", "target", "rate", "take"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    a, b = solve_age(got), solve_age(want)
+    assert a.pi.tobytes() == b.pi.tobytes()
+    assert a.v.tobytes() == b.v.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(_RATE, _RATE), min_size=n, max_size=n)
+    )
+)
+def test_hetero_stationary_is_the_product_form(pairs):
+    # P(order) = prod_k lam_{j_k} / sum_{r >= k} lam_{j_r}: each rank holds a
+    # server in proportion to its arrival rate among the servers not fresher,
+    # whatever the service rates
+    lams, mus = zip(*pairs)
+    pi = stationary_distribution(build_heterogeneous_single_source(lams, mus))
+    want = [
+        np.prod([lams[j] / sum(lams[i] for i in order[k:]) for k, j in enumerate(order)])
+        for order in itertools.permutations(range(len(lams)))
+    ]
+    assert np.max(np.abs(pi - want)) < 1e-12

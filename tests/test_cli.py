@@ -509,6 +509,35 @@ def test_main_sweep_rejects_malformed_run_fields(tmp_path, capsys, field, value)
 
 
 @pytest.mark.parametrize(
+    "fields, word",
+    [
+        ({"horizon": -1}, "horizon"),
+        ({"horizon": 0}, "horizon"),
+        ({"warmup": -1}, "warmup"),
+        ({"horizon": 10, "warmup": 10}, "warmup"),
+        ({"batches": 1}, "batches"),
+        ({"replications": 0}, "replications"),
+    ],
+    ids=["negative-horizon", "zero-horizon", "negative-warmup", "warmup-at-horizon",
+         "one-batch", "no-replications"],
+)
+def test_main_sweep_rejects_out_of_range_run_fields(tmp_path, capsys, fields, word):
+    # well-typed but unusable values end the run before any point is computed
+    path = tmp_path / "spec.json"
+    path.write_text(sweep_doc(parameter="servers", grid=[1], engines=["sim"], **fields))
+    assert_one_line_exit_2(capsys, ["sweep", "--spec", str(path)], word)
+
+
+@pytest.mark.parametrize(
+    "value, word",
+    [("-1", "horizon"), ("0", "horizon"), ("nan", "horizon"), ("inf", "horizon"),
+     ("1000", "warmup")],  # fig6's warmup is 3000
+)
+def test_main_sweep_checks_the_horizon_override(capsys, value, word):
+    assert_one_line_exit_2(capsys, ["sweep", "--spec", "fig6", "--horizon", value], word)
+
+
+@pytest.mark.parametrize(
     "field, value", [("arrival_rates", [[True, 1.0]]), ("service_rates", [True, 1.0])]
 )
 def test_main_analytic_rejects_bool_rates(tmp_path, capsys, field, value):

@@ -1,4 +1,6 @@
 """Generic chain-plus-ages solver: linear algebra, ergodicity gates, known solutions."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from aoinet.shs import (
     NonErgodicError,
     ShsModel,
     ShsTransition,
+    _balance_matrix,
+    _strongly_connected,
     age_residual,
     balance_residual,
     solve_age,
@@ -19,7 +23,7 @@ from aoinet.shs import (
 
 def two_state_cycle(r01=1.0, r10=2.0):
     keep = [0, 1]
-    return ShsModel(
+    return ShsModel.from_transitions(
         2,
         2,
         (ShsTransition(0, 1, r01, keep), ShsTransition(1, 0, r10, keep)),
@@ -62,17 +66,118 @@ def test_reset_matrix_applies_the_map(case):
 
 def test_model_rejects_out_of_range_state():
     with pytest.raises(ValueError, match="out of range"):
-        ShsModel(1, 2, (ShsTransition(0, 1, 1.0, [0, 1]),), np.ones((1, 2)))
+        ShsModel.from_transitions(
+            1, 2, (ShsTransition(0, 1, 1.0, [0, 1]),), np.ones((1, 2))
+        )
 
 
 def test_model_rejects_bad_growth_shape():
     with pytest.raises(ValueError, match="growth"):
-        ShsModel(2, 2, (), np.ones((2, 3)))
+        ShsModel.from_transitions(2, 2, (), np.ones((2, 3)))
 
 
 def test_model_rejects_reset_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        ShsModel(1, 3, (ShsTransition(0, 0, 1.0, [0, 1]),), np.ones((1, 3)))
+        ShsModel.from_transitions(
+            1, 3, (ShsTransition(0, 0, 1.0, [0, 1]),), np.ones((1, 3))
+        )
+
+
+def array_model(**change):
+    """A two-state model written as arrays, with some of the arrays replaced."""
+    arrays = dict(source=[0, 1], target=[1, 0], rate=[1.0, 2.0], take=[[0, 1], [0, -1]])
+    arrays.update(change)
+    return ShsModel(2, 2, **{k: np.array(v) for k, v in arrays.items()}, growth=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(rate=[1.0, 0.0]), "transition rate must be finite and > 0"),
+        (dict(rate=[1.0, np.nan]), "transition rate must be finite and > 0"),
+        (dict(take=[[0, 2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
+        (dict(take=[[0, -2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
+        (dict(take=[[0.0, 1.0], [0.0, 1.0]]), "reset map must be a 1-D integer array"),
+        (dict(source=[0, 2]), "transition state index out of range"),
+        (dict(target=[-1, 0]), "transition state index out of range"),
+        (dict(source=[0.0, 1.0]), "transition state index out of range"),
+        (dict(take=[[0, 1, 2], [0, 1, 2]]), "reset map shape must be (age_dim,)"),
+        (dict(rate=[1.0]), "one entry per row of take"),
+        (dict(take=[0, 1]), "one entry per row of take"),
+    ],
+    ids=[
+        "zero-rate", "nan-rate", "map-past-end", "map-below-minus-one", "float-map",
+        "source-past-end", "negative-target", "float-source", "map-width", "short-rate",
+        "flat-take",
+    ],
+)
+def test_model_validates_its_arrays(change, message):
+    # the array checks keep the messages of the per-record checks
+    with pytest.raises(ValueError, match=re.escape(message)):
+        array_model(**change)
+
+
+def test_transitions_view_yields_the_packed_records():
+    records = [
+        ShsTransition(0, 1, 1.0, [0, 1]),
+        ShsTransition(1, 0, 2.0, [0, -1]),
+        ShsTransition(1, 1, 0.5, [-1, 0]),
+    ]
+    m = ShsModel.from_transitions(2, 2, records, np.ones((2, 2)))
+    assert len(m.transitions) == 3
+    got = [(t.source, t.target, t.rate, t.take.tolist()) for t in m.transitions]
+    assert got == [(t.source, t.target, t.rate, t.take.tolist()) for t in records]
+    assert np.array_equal(m.transitions[-1].reset, records[-1].reset)
+
+
+def loop_reference(model):
+    """Exit rates, balance matrix and strong connectivity, one transition at a time."""
+    s = model.num_states
+    exit_rates = np.zeros(s)
+    for t in model.transitions:
+        exit_rates[t.source] += t.rate
+    m = np.diag(exit_rates)
+    for t in model.transitions:
+        m[t.target, t.source] -= t.rate
+    fwd = {(t.source, t.target) for t in model.transitions}
+
+    def reaches_all(edges):
+        seen, stack = {0}, [0]
+        while stack:
+            q = stack.pop()
+            for a, b in edges:
+                if a == q and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return len(seen) == s
+
+    connected = reaches_all(fwd) and reaches_all({(b, a) for a, b in fwd})
+    return exit_rates, m, connected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.lists(
+                st.tuples(st.integers(0, s - 1), st.integers(0, s - 1), st.floats(1e-3, 1e3)),
+                max_size=4 * s,
+            ),
+        )
+    )
+)
+def test_vectorized_sums_match_the_transition_loop(case):
+    # np.bincount and np.subtract.at add in row order, as the loop does, so
+    # the results are equal to the bit
+    s, edges = case
+    m = ShsModel.from_transitions(
+        s, 1, [ShsTransition(a, b, r, [0]) for a, b, r in edges], np.ones((s, 1))
+    )
+    exit_rates, balance, connected = loop_reference(m)
+    assert m.exit_rates().tobytes() == exit_rates.tobytes()
+    assert _balance_matrix(m).tobytes() == balance.tobytes()
+    assert _strongly_connected(m) == connected
 
 
 def test_exit_rates_sum_per_state():
@@ -81,7 +186,9 @@ def test_exit_rates_sum_per_state():
 
 
 def test_stationary_single_state():
-    m = ShsModel(1, 2, (ShsTransition(0, 0, 3.0, [0, 1]),), np.ones((1, 2)))
+    m = ShsModel.from_transitions(
+        1, 2, (ShsTransition(0, 0, 3.0, [0, 1]),), np.ones((1, 2))
+    )
     assert np.allclose(stationary_distribution(m), [1.0])
 
 
@@ -93,7 +200,7 @@ def test_stationary_two_state_cycle():
 
 
 def test_stationary_rejects_reducible_chain():
-    m = ShsModel(
+    m = ShsModel.from_transitions(
         2,
         1,
         (ShsTransition(0, 1, 1.0, [0]), ShsTransition(1, 1, 1.0, [0])),
@@ -105,7 +212,7 @@ def test_stationary_rejects_reducible_chain():
 
 def test_balance_residual_is_termwise():
     # opposing flows that cancel to ~0 must not inflate the relative residual
-    m = ShsModel(
+    m = ShsModel.from_transitions(
         1,
         2,
         (
@@ -169,14 +276,16 @@ def test_rate_scaling_inverts_age():
 
 def test_solve_age_singular_age_system():
     # self-loop that preserves the growing coordinate: no finite expectation
-    m = ShsModel(1, 1, (ShsTransition(0, 0, 1.0, [0]),), np.ones((1, 1)))
+    m = ShsModel.from_transitions(1, 1, (ShsTransition(0, 0, 1.0, [0]),), np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(m)
 
 
 def test_solve_age_non_finite_solution():
     # a subnormal reset rate is not exactly singular, but its age overflows
-    m = ShsModel(1, 1, (ShsTransition(0, 0, 1e-320, [-1]),), np.ones((1, 1)))
+    m = ShsModel.from_transitions(
+        1, 1, (ShsTransition(0, 0, 1e-320, [-1]),), np.ones((1, 1))
+    )
     with pytest.raises(NonErgodicError, match="not finite"):
         solve_age(m)
 

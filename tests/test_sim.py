@@ -235,7 +235,7 @@ def lcfs_w_reference_model(lam, mu):
         ShsTransition(2, 1, mu, deliver_promote),
     )
     growth = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    return ShsModel(3, 3, transitions, growth)
+    return ShsModel.from_transitions(3, 3, transitions, growth)
 
 
 def test_lcfs_w_single_server_reference():
