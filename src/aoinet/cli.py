@@ -36,6 +36,7 @@ from .model import (
     NetworkConfig,
     QueueDiscipline,
     classify,
+    drop_idle_servers,
     is_number,
     load_config,
     parse_json,
@@ -70,6 +71,7 @@ def closed_form_aoi(config: NetworkConfig, source: int) -> float:
         raise EngineError(
             f"no closed form for discipline '{config.discipline.value}'; use simulate"
         )
+    config = drop_idle_servers(config)
     cls = classify(config)
     n = config.servers
     if cls is HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE:
@@ -98,6 +100,7 @@ def chain_aoi(config: NetworkConfig, source: int) -> float:
         raise EngineError(
             f"no chain model for discipline '{config.discipline.value}'; use simulate"
         )
+    config = drop_idle_servers(config)
     cls = classify(config)
     n = config.servers
     if cls is HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE:
@@ -133,27 +136,19 @@ class SweepRow:
 
 @dataclass
 class SweepSpec:
-    """A declarative sweep: one parameter, one grid, one or more engines."""
+    """A declarative sweep: one parameter, one grid, one or more engines.
 
-    config: NetworkConfig
+    `run` holds the base config and the simulation run fields.
+    """
+
     parameter: str
     grid: tuple[float, ...]
     engines: tuple[str, ...]
     disciplines: tuple[QueueDiscipline, ...]
-    horizon: float = 1e5
-    warmup: float | None = None
-    seed: int = 0
-    batches: int = 32
+    run: SimParams
     replications: int = 1
 
     def __post_init__(self) -> None:
-        # checked again by every dataclasses.replace, so CLI overrides are too
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError("sweep 'horizon' must be finite and > 0")
-        if self.warmup is not None and not (0 <= self.warmup < self.horizon):
-            raise ConfigError("sweep 'warmup' must satisfy 0 <= warmup < horizon")
-        if self.batches < 2:
-            raise ConfigError("sweep 'batches' must be >= 2")
         if self.replications < 1:
             raise ConfigError("sweep 'replications' must be >= 1")
 
@@ -212,15 +207,17 @@ def load_sweep_spec(text: str) -> SweepSpec:
         return value if integer else float(value)
 
     spec = SweepSpec(
-        config=config,
         parameter=parameter,
         grid=tuple(float(v) for v in grid),
         engines=tuple(engines),
         disciplines=disciplines,
-        horizon=number("horizon", 1e5),
-        warmup=None if sw.get("warmup") is None else number("warmup", None),
-        seed=number("seed", 0, integer=True),
-        batches=number("batches", 32, integer=True),
+        run=SimParams(
+            config=config,
+            horizon=number("horizon", 1e5),
+            warmup=None if sw.get("warmup") is None else number("warmup", None),
+            seed=number("seed", 0, integer=True),
+            batches=number("batches", 32, integer=True),
+        ),
         replications=number("replications", 1, integer=True),
     )
     if parameter == "servers" and any(v != int(v) or v < 1 for v in spec.grid):
@@ -301,9 +298,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if disc is None:
             fn = closed_form_aoi if label == "analytic" else chain_aoi
             return [(fn(cfg, i), None) for i in sources]
-        params = SimParams(
-            replace(cfg, discipline=disc), spec.horizon, spec.seed, spec.warmup, spec.batches
-        )
+        params = replace(spec.run, config=replace(cfg, discipline=disc))
         result = replicate(params, spec.replications)
         return list(zip(result.aoi, result.ci_half_width))
 
@@ -312,7 +307,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             return [SweepRow(value, label, i, None, None, str(e)) for i in sources]
 
         try:
-            cfg = apply_parameter(spec.config, spec.parameter, value)
+            cfg = apply_parameter(spec.run.config, spec.parameter, value)
         except (ValueError, RuntimeError) as e:
             return [row for label, _ in jobs for row in failed(label, [0], e)]
         rows: list[SweepRow] = []
@@ -335,8 +330,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         per_point = list(ex.map(point_rows, spec.grid))
     return SweepResult(
         rows=[row for rows in per_point for row in rows],
-        seed=spec.seed,
-        horizon=spec.horizon,
+        seed=spec.run.seed,
+        horizon=spec.run.horizon,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         version=__version__,
     )
@@ -395,8 +390,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 entry[f"{name}_error"] = str(e)
         entries.append(entry)
     if not any("analytic" in e or "shs" in e for e in entries):
+        first = entries[0]
         sys.stderr.write("aoinet: error: no analytic engine applies: "
-                         f"{entries[0].get('analytic_error', '')}\n")
+                         f"analytic: {first['analytic_error']}; shs: {first['shs_error']}\n")
         return 2
     disagreements = [
         abs(e["analytic"] - e["shs"]) / max(abs(e["analytic"]), abs(e["shs"]))
@@ -453,8 +449,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(_read_spec_text(args.spec))
     overrides = {"seed": args.seed, "horizon": args.horizon}
-    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
-    result = run_sweep(spec)
+    run = replace(spec.run, **{k: v for k, v in overrides.items() if v is not None})
+    result = run_sweep(replace(spec, run=run))
     text = sweep_json(result) if args.format == "json" else sweep_csv(result)
     _write_out(text, args.out)
     return 0 if all(not r.error for r in result.rows) else 1

@@ -126,6 +126,19 @@ def classify(config: NetworkConfig) -> HomogeneityClass:
     return HomogeneityClass.GENERAL
 
 
+def drop_idle_servers(config: NetworkConfig) -> NetworkConfig:
+    """The config without the servers no source sends to.
+
+    Such a server never delivers, so dropping it leaves every age unchanged.
+    """
+    busy = [j for j, col in enumerate(zip(*config.arrival_rates)) if max(col) > 0]
+    if len(busy) == config.servers:
+        return config
+    rows = [[row[j] for j in busy] for row in config.arrival_rates]
+    mus = [config.service_rates[j] for j in busy]
+    return NetworkConfig(config.sources, len(busy), rows, mus, config.discipline)
+
+
 def parse_json(text: str) -> object:
     """json.loads, with a decode error raised as ConfigError naming its position."""
     try:
@@ -137,8 +150,18 @@ def parse_json(text: str) -> object:
 
 
 def is_number(x: object) -> bool:
-    """True for a JSON number; booleans are ints in Python but not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """True for a JSON number that fits a float.
+
+    Booleans are ints in Python but not numbers here, and neither is an
+    integer literal too large to convert to a float.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def positive_rate(name: str, value: float) -> float:

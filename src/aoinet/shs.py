@@ -16,6 +16,13 @@ row order, so the transition order fixes the rounding of every sum.
 `ShsTransition` is the record of one row, for writing small models by hand
 (`ShsModel.from_transitions`) and for reading a model row by row
 (`ShsModel.transitions`).
+
+Both linear systems have one form, diag * x = rhs + the sum of rate * x[unknown]
+over the terms (equation, unknown, rate), which `_matrix` assembles and
+`_residual` checks. Stationary balance: diag is the exit rates, each
+transition is a term (target, source, rate), rhs is 0. Expected age: diag is
+each state's exit rate per coordinate, the terms are `_age_terms`, rhs is
+growth * pi.
 """
 from __future__ import annotations
 
@@ -194,28 +201,6 @@ def _strongly_connected(model: ShsModel) -> bool:
     return reaches_all(model.source, model.target) and reaches_all(model.target, model.source)
 
 
-def _balance_matrix(model: ShsModel) -> np.ndarray:
-    # row q: (exit rate of q) * pi_q - sum of rate * pi_source over transitions into q
-    m = np.zeros((model.num_states, model.num_states))
-    np.fill_diagonal(m, model.exit_rates())
-    np.subtract.at(m, (model.target, model.source), model.rate)
-    return m
-
-
-def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
-    """Worst relative residual of the stationary balance equations.
-
-    Relative to the per-equation flow magnitudes before cancellation, so a
-    tiny net imbalance on large opposing flows reads as tiny.
-    """
-    out_flow = model.exit_rates() * pi
-    in_flow = np.bincount(
-        model.target, weights=model.rate * pi[model.source], minlength=model.num_states
-    )
-    scale = np.maximum(out_flow + in_flow, 1e-300)
-    return float(np.max(np.abs(out_flow - in_flow) / scale))
-
-
 def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(equation, unknown, rate) of each copy term of the age equations.
 
@@ -228,17 +213,39 @@ def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return model.target[k] * d + c, model.source[k] * d + take[k, c], model.rate[k]
 
 
+def _matrix(diag: np.ndarray, terms: tuple) -> np.ndarray:
+    """The dense matrix of diag * x - sum of rate * x[unknown], row per equation."""
+    eq, unknown, rate = terms
+    m = np.zeros((diag.size, diag.size))
+    np.fill_diagonal(m, diag)
+    # repeated entries accumulate in term order
+    np.subtract.at(m, (eq, unknown), rate)
+    return m
+
+
+def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | float) -> float:
+    """Worst relative residual of diag * x = rhs + sum of rate * x[unknown].
+
+    Relative to the per-equation sum of term magnitudes before cancellation,
+    so a tiny net imbalance on large opposing terms reads as tiny.
+    """
+    eq, unknown, rate = terms
+    term = rate * x[unknown]
+    lhs = diag * x
+    total = rhs + np.bincount(eq, weights=term, minlength=x.size)
+    scale = np.abs(lhs) + np.abs(rhs) + np.bincount(eq, weights=np.abs(term), minlength=x.size)
+    return float(np.max(np.abs(lhs - total) / np.maximum(scale, 1e-300)))
+
+
+def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
+    """Worst relative residual of the stationary balance equations."""
+    return _residual(model.exit_rates(), (model.target, model.source, model.rate), pi, 0.0)
+
+
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     """Worst relative residual of the expected-age equations for a solution v."""
-    eq, unknown, rate = _age_terms(model)
-    term = rate * v.ravel()[unknown]
-    lhs = model.exit_rates()[:, None] * v
-    rhs = model.growth * pi[:, None]
-    scale = np.abs(lhs) + np.abs(rhs)
-    rhs += np.bincount(eq, weights=term, minlength=v.size).reshape(v.shape)
-    scale += np.bincount(eq, weights=np.abs(term), minlength=v.size).reshape(v.shape)
-    scale = np.maximum(scale, 1e-300)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    diag = np.repeat(model.exit_rates(), model.age_dim)
+    return _residual(diag, _age_terms(model), v.ravel(), (model.growth * pi[:, None]).ravel())
 
 
 def stationary_distribution(model: ShsModel) -> np.ndarray:
@@ -250,7 +257,8 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
     """
     if not _strongly_connected(model):
         raise NonErgodicError("chain is not irreducible")
-    m = _balance_matrix(model)
+    diag, terms = model.exit_rates(), (model.target, model.source, model.rate)
+    m = _matrix(diag, terms)
     rhs = np.zeros(model.num_states)
     m[-1, :] = 1.0
     rhs[-1] = 1.0
@@ -259,7 +267,7 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
         raise NonErgodicError(f"stationary distribution has negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
-    worst = balance_residual(model, pi)
+    worst = _residual(diag, terms, pi, 0.0)
     if worst > RESIDUAL_RTOL:
         raise NonErgodicError(
             f"balance residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"
@@ -270,26 +278,16 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
 def solve_age(model: ShsModel) -> ShsSolution:
     """Solve for expected age correlations and the average age at the monitor.
 
-    For each state q and coordinate c the unknown v[q, c] satisfies
-
-        exit_rate(q) * v[q, c] = growth[q, c] * pi[q] + sum over transitions
-                                 into q with take[c] >= 0 of
-                                 rate * v[source, take[c]]
-
-    and the average age is the sum of v[:, 0]. Unknowns are laid out
-    state-major, coordinate-minor.
+    The unknown v[q, c] is coordinate c's expected age times pi[q], row q
+    being state q; its equation takes the copy terms of `_age_terms`. The
+    average age is the sum of v[:, 0].
     """
     pi = stationary_distribution(model)
-    s, d = model.num_states, model.age_dim
-    n = s * d
-    m = np.zeros((n, n))
-    m.flat[:: n + 1] = np.repeat(model.exit_rates(), d)
-    eq, unknown, rate = _age_terms(model)
-    # repeated entries accumulate in transition order
-    np.subtract.at(m, (eq, unknown), rate)
+    diag = np.repeat(model.exit_rates(), model.age_dim)
+    terms = _age_terms(model)
     rhs = (model.growth * pi[:, None]).ravel()
-    flat = _solve(m, rhs, "age")
-    worst = age_residual(model, pi, flat.reshape(s, d))
+    flat = _solve(_matrix(diag, terms), rhs, "age")
+    worst = _residual(diag, terms, flat, rhs)
     if worst > RESIDUAL_RTOL:
         raise NonErgodicError(
             f"age system residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"
@@ -298,6 +296,5 @@ def solve_age(model: ShsModel) -> ShsSolution:
         raise NegativeSolutionError(
             f"age expectation {flat.min():.3e} is materially negative"
         )
-    flat = np.maximum(flat, 0.0)
-    v = flat.reshape(s, d)
+    v = np.maximum(flat, 0.0).reshape(model.num_states, model.age_dim)
     return ShsSolution(pi=pi, v=v, aoi=float(v[:, 0].sum()))

@@ -23,11 +23,12 @@ _Z95 = 1.96
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimParams:
     """One simulation run: a config plus horizon/seed/averaging controls.
 
     warmup defaults to 1% of the horizon; statistics cover (warmup, horizon].
+    The run fields are checked here, on every construction and replace.
     """
 
     config: NetworkConfig
@@ -35,6 +36,14 @@ class SimParams:
     seed: int = 0
     warmup: float | None = None
     batches: int = 32
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and > 0")
+        if self.warmup is not None and not (0 <= self.warmup < self.horizon):
+            raise ValueError("warmup must satisfy 0 <= warmup < horizon")
+        if self.batches < 2:
+            raise ValueError("need at least 2 batches for an interval")
 
 
 @dataclass
@@ -190,13 +199,7 @@ def simulate(params: SimParams) -> SimResult:
     if problems:
         raise ValueError("; ".join(problems))
     horizon = float(params.horizon)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and > 0")
     warmup = 0.01 * horizon if params.warmup is None else float(params.warmup)
-    if not (0.0 <= warmup < horizon):
-        raise ValueError("warmup must satisfy 0 <= warmup < horizon")
-    if params.batches < 2:
-        raise ValueError("need at least 2 batches for an interval")
     seed = int(params.seed)
     m, n = cfg.sources, cfg.servers
     if cfg.discipline is QueueDiscipline.FCFS:

@@ -83,6 +83,25 @@ def test_closed_form_gaps_fall_back_to_chain():
     assert chain_aoi(distinct, 0) > 0
 
 
+def test_idle_server_is_dropped_by_both_engines():
+    # a server no source sends to never delivers: same bits as without it
+    idle = cfg(n=3, rates=[[0.7, 0.0, 1.3]], mus=[1.0, 5.0, 2.0])
+    two = cfg(n=2, rates=[[0.7, 1.3]], mus=[1.0, 2.0])
+    assert closed_form_aoi(idle, 0) == closed_form_aoi(two, 0)
+    assert chain_aoi(idle, 0) == chain_aoi(two, 0)
+    shared = cfg(m=2, n=3, rates=[[0.5, 0.0, 0.5], [0.25, 0.0, 0.25]], mus=[1.0, 3.0, 1.0])
+    both = cfg(m=2, n=2, rates=[[0.5, 0.5], [0.25, 0.25]])
+    assert closed_form_aoi(shared, 1) == closed_form_aoi(both, 1)
+    assert chain_aoi(shared, 1) == chain_aoi(both, 1)
+
+
+def test_seven_servers_with_one_idle_are_solved_by_the_chain():
+    seven = cfg(n=7, rates=[[0.5] * 3 + [0.0] + [0.5] * 3], mus=[1.0] * 3 + [9.0] + [1.0] * 3)
+    want = aoi_lcfs_homogeneous(6, 0.5, 1.0)
+    assert chain_aoi(seven, 0) == pytest.approx(want, rel=1e-10)
+    assert closed_form_aoi(seven, 0) == want
+
+
 def test_no_engine_for_distinct_multi_source():
     awkward = cfg(m=2, n=2, rates=[[0.5, 0.4], [0.3, 0.2]], mus=[1.0, 2.0])
     with pytest.raises(EngineError, match="multi-source"):
@@ -109,9 +128,9 @@ def test_load_sweep_spec_defaults():
     assert spec.parameter == "servers"
     assert spec.grid == (1.0, 2.0, 3.0)
     assert spec.engines == ("analytic",)
-    assert spec.horizon == 1e5
-    assert spec.seed == 0
-    assert spec.batches == 32
+    assert spec.run.horizon == 1e5
+    assert spec.run.seed == 0
+    assert spec.run.batches == 32
     assert spec.replications == 1
     assert [d.value for d in spec.disciplines] == ["lcfs-s"]
 
@@ -335,6 +354,17 @@ def test_main_analytic_no_engine(tmp_config, capsys):
     assert "no analytic engine applies" in capsys.readouterr().err
 
 
+def test_main_analytic_no_engine_names_both_errors(tmp_config, capsys):
+    # seven distinct servers: past the closed forms and past the chain's cap
+    n = 7
+    doc = config_doc(n=n, rates=[[0.5 + 0.1 * j for j in range(n)]], mus=[1.0] * n)
+    assert main(["analytic", "--config", tmp_config(json.dumps(doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "analytic: no closed form for 7 distinct servers" in err
+    assert "shs: heterogeneous builder supports at most 6 servers" in err
+
+
 def test_main_analytic_json(tmp_config, tmp_path):
     path = tmp_config(json.dumps(config_doc()))
     out = tmp_path / "report.json"
@@ -477,7 +507,11 @@ def assert_one_line_exit_2(capsys, argv, word):
     assert err.startswith("aoinet: error:") and err.count("\n") == 1 and word in err
 
 
-@pytest.mark.parametrize("key, value", [("total_arrival", None), ("mu1_grid", ["a"])])
+@pytest.mark.parametrize(
+    "key, value",
+    [("total_arrival", None), ("mu1_grid", ["a"]),
+     pytest.param("total_arrival", 10**400, id="total_arrival-huge-int")],
+)
 def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
     doc = json.loads(_read_spec_text("fig5"))
     if value is None:
@@ -498,7 +532,9 @@ def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
         # a null warmup means the default, 1% of the horizon
         if not (field == "warmup" and value is None)
     ]
-    + [("disciplines", value) for value in (None, 5, "fcfs", [])],
+    + [("disciplines", value) for value in (None, 5, "fcfs", [])]
+    # an integer literal too large for a float
+    + [pytest.param("horizon", 10**400, id="horizon-huge-int")],
 )
 def test_main_sweep_rejects_malformed_run_fields(tmp_path, capsys, field, value):
     path = tmp_path / "spec.json"
@@ -538,7 +574,9 @@ def test_main_sweep_checks_the_horizon_override(capsys, value, word):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("arrival_rates", [[True, 1.0]]), ("service_rates", [True, 1.0])]
+    "field, value",
+    [("arrival_rates", [[True, 1.0]]), ("service_rates", [True, 1.0]),
+     pytest.param("arrival_rates", [[10**400, 1.0]], id="arrival_rates-huge-int")],
 )
 def test_main_analytic_rejects_bool_rates(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"

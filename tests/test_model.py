@@ -1,5 +1,7 @@
 """Config types: validation, classification, serialization."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoinet.model import (
     ConfigError,
@@ -111,13 +113,31 @@ def test_classify_ignores_server_permutation():
     assert classify(a) is classify(b) is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE
 
 
-def test_round_trip_config_to_text_and_back():
-    c = cfg(m=2, n=3, rates=[[1.0, 0.5, 0.25], [2.0, 2.0, 2.0]], mus=[1.0, 2.0, 3.0])
+@st.composite
+def valid_configs(draw):
+    """Configs load_config accepts: any finite rates, a positive sum per source."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rate = st.floats(min_value=0.0, allow_infinity=False)
+    row = st.lists(rate, min_size=n, max_size=n).filter(lambda r: sum(r) > 0)
+    rates = draw(st.lists(row, min_size=m, max_size=m))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    mus = draw(st.lists(positive, min_size=n, max_size=n))
+    return cfg(m, n, rates, mus, draw(st.sampled_from(QueueDiscipline)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(valid_configs())
+@example(cfg(m=2, n=3, rates=[[1.0, 0.5, 0.25], [2.0, 2.0, 2.0]], mus=[1.0, 2.0, 3.0]))
+def test_round_trip_config_to_text_and_back(c):
     assert load_config(dump_config(c)) == c
 
 
-def test_round_trip_canonical_document():
-    text = dump_config(cfg())
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(valid_configs())
+@example(cfg())
+def test_round_trip_canonical_document(c):
+    # the canonical documents are the texts dump_config writes
+    text = dump_config(c)
     assert dump_config(load_config(text)) == text
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoinet import shs
 from aoinet.builders import build_single_source_homogeneous
 from aoinet.shs import (
     NegativeSolutionError,
     NonErgodicError,
     ShsModel,
     ShsTransition,
-    _balance_matrix,
+    _matrix,
     _strongly_connected,
     age_residual,
     balance_residual,
@@ -176,7 +177,8 @@ def test_vectorized_sums_match_the_transition_loop(case):
     )
     exit_rates, balance, connected = loop_reference(m)
     assert m.exit_rates().tobytes() == exit_rates.tobytes()
-    assert _balance_matrix(m).tobytes() == balance.tobytes()
+    balance_terms = (m.target, m.source, m.rate)
+    assert _matrix(m.exit_rates(), balance_terms).tobytes() == balance.tobytes()
     assert _strongly_connected(m) == connected
 
 
@@ -231,6 +233,20 @@ def test_age_residual_flags_wrong_solution():
     sol = solve_age(m)
     assert age_residual(m, pi, sol.v) < 1e-12
     assert age_residual(m, pi, sol.v + 0.1) > 1e-3
+
+
+def test_solve_age_flattens_the_resets_once(monkeypatch):
+    # the age system is assembled and checked from one set of copy terms
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    real = shs._age_terms
+    monkeypatch.setattr(shs, "_age_terms", counting)
+    solve_age(build_single_source_homogeneous(3, 1.0, 1.0))
+    assert len(calls) == 1
 
 
 def test_solve_age_known_value():
