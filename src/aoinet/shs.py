@@ -26,6 +26,7 @@ growth * pi.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -297,4 +298,8 @@ def solve_age(model: ShsModel) -> ShsSolution:
             f"age expectation {flat.min():.3e} is materially negative"
         )
     v = np.maximum(flat, 0.0).reshape(model.num_states, model.age_dim)
-    return ShsSolution(pi=pi, v=v, aoi=float(v[:, 0].sum()))
+    aoi = float(v[:, 0].sum())
+    # extreme rate ratios can lose every service term and leave a zero age
+    if not (math.isfinite(aoi) and aoi > 0):
+        raise NonErgodicError(f"average age {aoi!r} is not finite and > 0")
+    return ShsSolution(pi=pi, v=v, aoi=aoi)

@@ -9,6 +9,14 @@ sawtooth, never a sampled approximation.
 Randomness comes from counter-based keyed streams: one per (source, server)
 arrival process and one per server's service process, so any one stream's
 draws are identical no matter what the rest of the system does.
+
+Every kernel is vectorized over a server's arrivals. lcfs-s and fcfs draw one
+service time per arrival. lcfs-w, whose service starts depend on earlier
+completions, uses a uniformized clock instead: exponential service is
+memoryless, so a busy server completes at the ticks of a rate-mu Poisson
+clock, and only the first two ticks after each arrival can change the state.
+Its service stream holds 2n draws for n arrivals: the first-tick offsets
+after each arrival, then the second-tick offsets after each first tick.
 """
 from __future__ import annotations
 
@@ -115,41 +123,37 @@ def _deliveries_fcfs(t, src, svc_rng, mu, horizon):
 
 
 def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
-    # a pseudo-arrival at the horizon flushes every completion up to it; its
-    # spare draw comes last, so the real arrivals' service times are unchanged
-    svc = svc_rng.exponential(1.0 / mu, size=t.size + 1)  # consumed per service start
-    out_t: list[float] = []
-    out_g: list[float] = []
-    out_s: list[int] = []
-    busy_until = 0.0
-    cur_g = 0.0
-    cur_s = -1
-    waiter: tuple[float, int] | None = None
-    idle = True
-    si = 0
-    times, labels = t.tolist(), src.tolist()
-    times.append(horizon)
-    labels.append(-1)
-    for tk, sk in zip(times, labels):
-        while not idle and busy_until <= tk:
-            out_t.append(busy_until)
-            out_g.append(cur_g)
-            out_s.append(cur_s)
-            if waiter is None:
-                idle = True
-            else:
-                cur_g, cur_s = waiter
-                waiter = None
-                busy_until += svc[si]
-                si += 1
-        if idle:
-            cur_g, cur_s = tk, sk
-            busy_until = tk + svc[si]
-            si += 1
-            idle = False
-        else:
-            waiter = (tk, sk)  # newest arrival displaces any older waiter
-    return np.asarray(out_t), np.asarray(out_g), np.asarray(out_s, dtype=int)
+    # The uniformized clock of the module docstring. Arrival k leaves the
+    # server busy, with k waiting iff it found the server busy (w[k]). In the
+    # gap to the next arrival (the horizon for the last one) tick 1 completes
+    # the service in progress and promotes the waiter, and tick 2 completes
+    # that waiter. A tick at the next arrival counts in the gap, so a
+    # completion comes before an arrival at the same instant. e[:n] are the
+    # first-tick offsets from each arrival, e[n:] the second-tick offsets.
+    n = t.size
+    e = svc_rng.exponential(1.0 / mu, size=2 * n)
+    if n == 0:
+        return t, t, src
+    end = np.append(t[1:], horizon)
+    x1 = t + e[:n]
+    x2 = x1 + e[n:]
+    f1 = x1 <= end
+    f2 = x2 <= end
+    k = np.arange(n)
+    # w[k + 1] is True after a gap with no tick, False after two ticks and
+    # w[k] after one: forward-fill from the last gap that fixed it
+    fixed = np.concatenate(([True], ~f1[:-1] | f2[:-1]))
+    busy = np.concatenate(([False], ~f1[:-1]))
+    w = busy[np.maximum.accumulate(np.where(fixed, k, 0))]
+    # tick 1 completes arrival k itself if k found the server idle, else the
+    # latest earlier arrival that started service (it found the server idle,
+    # or tick 1 of its own gap promoted it)
+    started = np.maximum.accumulate(np.where(~w | f1, k, 0))
+    first = np.where(w, np.concatenate(([0], started[:-1])), k)
+    # deliveries in gap order: row k holds the first and second tick of gap k
+    keep = np.stack((f1, f2 & w), axis=1)
+    who = np.stack((first, k), axis=1)[keep]
+    return np.stack((x1, x2), axis=1)[keep], t[who], src[who]
 
 
 _ENGINES = {

@@ -407,6 +407,18 @@ def test_two_server_split_matches_numeric_search():
 # --------------------------------------------------------------- criterion 9
 
 
+def csv_per_thread_count(monkeypatch, doc):
+    """The sweep CSV bytes of `doc` with AOI_THREADS unset, 1 and 2."""
+    outputs = []
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("AOI_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("AOI_THREADS", threads)
+        outputs.append(sweep_csv(run_sweep(load_sweep_spec(doc))).encode())
+    return outputs
+
+
 def test_identical_seeds_reproduce_identical_csv(monkeypatch):
     """Same spec, same seed: the CSV artifact is byte-identical, threads or not."""
     doc = json.dumps(
@@ -427,14 +439,36 @@ def test_identical_seeds_reproduce_identical_csv(monkeypatch):
             },
         }
     )
-    outputs = []
-    for threads in (None, "1", "2"):
-        if threads is None:
-            monkeypatch.delenv("AOI_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("AOI_THREADS", threads)
-        outputs.append(sweep_csv(run_sweep(load_sweep_spec(doc))).encode())
+    outputs = csv_per_thread_count(monkeypatch, doc)
     assert outputs[0] == outputs[1] == outputs[2]
     # and a fresh repeat of the same run stays identical
     repeat = sweep_csv(run_sweep(load_sweep_spec(doc))).encode()
     assert repeat == outputs[0]
+
+
+def test_identical_seeds_reproduce_identical_csv_every_discipline(monkeypatch):
+    """The same holds for every simulated discipline, lcfs-w included."""
+    doc = json.dumps(
+        {
+            "config": {
+                "sources": 1,
+                "servers": 2,
+                "arrival_rates": [[0.4, 0.4]],
+                "service_rates": [1.0, 1.0],
+                "discipline": "lcfs-s",
+            },
+            "sweep": {
+                "parameter": "per-server-arrival",
+                "grid": [0.2, 0.5, 0.8],
+                "engines": ["sim"],
+                "disciplines": ["lcfs-s", "lcfs-w", "fcfs"],
+                "horizon": 2000.0,
+                "seed": 9,
+            },
+        }
+    )
+    outputs = csv_per_thread_count(monkeypatch, doc)
+    assert outputs[0] == outputs[1] == outputs[2]
+    rows = outputs[0].decode().splitlines()[1:]
+    assert len(rows) == 9 and all(row.endswith(",") for row in rows)  # no error rows
+    assert {row.split(",")[1] for row in rows} == {"sim:lcfs-s", "sim:lcfs-w", "sim:fcfs"}

@@ -238,6 +238,22 @@ def test_run_sweep_error_rows():
     assert result.rows[1].aoi is None
 
 
+def test_run_sweep_chain_underflow_is_an_error_row():
+    # at these rates the chain loses every service term and solves to age 0;
+    # the closed form still gives 1/3 (three mu = 1 servers)
+    doc = sweep_doc(
+        config=config_doc(n=3),
+        parameter="total-arrival",
+        grid=[1e200, 1.7e308],
+        engines=["analytic", "shs"],
+    )
+    rows = run_sweep(load_sweep_spec(doc)).rows
+    assert [r.engine for r in rows] == ["analytic", "shs"] * 2
+    for analytic, shs in zip(rows[::2], rows[1::2]):
+        assert analytic.aoi == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert shs.aoi is None and "average age 0.0 is not finite and > 0" in shs.error
+
+
 def test_sweep_csv_golden():
     spec = load_sweep_spec(
         sweep_doc(

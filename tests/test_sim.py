@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoinet.analytic import aoi_multi_source_n2
@@ -179,7 +179,8 @@ def test_fcfs_single_server_reference():
 
 
 class StubService:
-    """Service times in draw order; draws past the given ones are never reached."""
+    """Clock draws in the lcfs-w layout: every gap's first-tick offset, then every
+    gap's second-tick offset; draws past the given ones are never reached."""
 
     def __init__(self, *times):
         self.times = list(times)
@@ -193,16 +194,16 @@ class StubService:
     [
         pytest.param([], [], 10.0, [], id="no-arrivals"),
         # the completion at 2 comes first, so the arrival at 2 finds the server idle
-        pytest.param([0.0, 2.0], [2.0, 1.0], 10.0, [(2.0, 0.0), (3.0, 2.0)],
+        pytest.param([0.0, 2.0], [2.0, 1.0, 9.0, 9.0], 10.0, [(2.0, 0.0), (3.0, 2.0)],
                      id="completion-at-arrival"),
         # the waiter from 1 is promoted at 2 before the arrival at 2 can displace it
-        pytest.param([0.0, 1.0, 2.0], [2.0, 1.0, 0.5], 10.0,
+        pytest.param([0.0, 1.0, 2.0], [5.0, 1.0, 1.0, 9.0, 9.0, 0.5], 10.0,
                      [(2.0, 0.0), (3.0, 1.0), (3.5, 2.0)],
                      id="completion-at-arrival-promotes-waiter"),
-        pytest.param([1.0], [2.0], 3.0, [(3.0, 1.0)], id="completion-at-horizon"),
-        pytest.param([0.0, 1.0], [5.0, 1.0], 4.0, [], id="waiter-pending-at-horizon"),
-        pytest.param([0.0, 1.0, 2.0], [3.0, 1.0], 10.0, [(3.0, 0.0), (4.0, 2.0)],
-                     id="newer-waiter-displaces-older"),
+        pytest.param([1.0], [2.0, 9.0], 3.0, [(3.0, 1.0)], id="completion-at-horizon"),
+        pytest.param([0.0, 1.0], [5.0, 5.0, 9.0, 9.0], 4.0, [], id="waiter-pending-at-horizon"),
+        pytest.param([0.0, 1.0, 2.0], [5.0, 5.0, 1.0, 9.0, 9.0, 1.0], 10.0,
+                     [(3.0, 0.0), (4.0, 2.0)], id="newer-waiter-displaces-older"),
     ],
 )
 def test_lcfs_w_deliveries_hand_cases(arrivals, services, horizon, delivered):
@@ -215,6 +216,53 @@ def test_lcfs_w_deliveries_hand_cases(arrivals, services, horizon, delivered):
     np.testing.assert_array_equal(gen, np.array(expected_gen, dtype=float))
     np.testing.assert_array_equal(who, np.searchsorted(t, expected_gen))
     assert done.dtype == gen.dtype == np.float64 and who.dtype.kind == "i"
+
+
+def lcfs_w_event_loop(t, draws, horizon):
+    """(delivery time, arrival index) pairs of the uniformized lcfs-w model, one
+    event at a time: arrival k, then the first two clock ticks of its gap."""
+    n = len(t)
+    out = []
+    serving = waiting = None
+    for k in range(n):
+        if serving is None:
+            serving = k
+        else:
+            waiting = k  # displaces any older waiter
+        end = t[k + 1] if k + 1 < n else horizon
+        tick = t[k]
+        for offset in (draws[k], draws[n + k]):
+            tick += offset
+            if serving is None or tick > end:
+                break
+            out.append((tick, serving))
+            serving, waiting = waiting, None
+    return out
+
+
+# (gap to the previous arrival, first-tick offset, second-tick offset) per arrival;
+# halves and zeros make repeated arrivals and ticks on arrivals common
+_half = st.integers(0, 8).map(lambda k: 0.5 * k)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gaps=st.lists(st.tuples(_half, _half, _half), max_size=10), tail=_half)
+@example(gaps=[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5)], tail=1.0)  # repeated times
+@example(gaps=[(0.0, 1.0, 9.0), (1.0, 1.0, 0.5), (0.5, 2.0, 0.5)], tail=2.0)  # tick on arrival
+@example(gaps=[(1.0, 9.0, 9.0), (2.0, 0.0, 0.0)], tail=0.0)  # arrival at the horizon
+def test_lcfs_w_kernel_matches_event_loop(gaps, tail):
+    t = np.cumsum([g for g, _, _ in gaps], dtype=float)
+    draws = [d for _, d, _ in gaps] + [d for _, _, d in gaps]
+    horizon = float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
+    src = np.arange(t.size)
+    done, gen, who = _deliveries_lcfs_w(t, src, StubService(*draws), 1.0, horizon)
+    expected = lcfs_w_event_loop(t.tolist(), draws, horizon)
+    assert done.tolist() == [d for d, _ in expected]
+    assert who.tolist() == [k for _, k in expected]
+    np.testing.assert_array_equal(gen, t[who])
+    assert np.all(np.diff(done) >= 0)
+    assert np.unique(who).size == who.size
+    assert np.all((gen <= done) & (done <= horizon))
 
 
 def lcfs_w_reference_model(lam, mu):
@@ -239,7 +287,7 @@ def lcfs_w_reference_model(lam, mu):
 
 
 def test_lcfs_w_single_server_reference():
-    for lam, mu in ((1.0, 1.0), (2.0, 1.3)):
+    for lam, mu in ((1.0, 1.0), (2.0, 1.3), (0.2, 1.0), (3.0, 1.0), (0.5, 5.0)):
         target = solve_age(lcfs_w_reference_model(lam, mu)).aoi
         r = replicate(
             SimParams(cfg(rates=[[lam]], mus=[mu], disc="lcfs-w"), 200000.0, seed=3), 4
