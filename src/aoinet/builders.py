@@ -109,9 +109,10 @@ def build_heterogeneous_single_source(
     order: per state, its n arrivals, then its n deliveries by rank.
 
     Capped at n <= 6: the dense age system has n! * (n + 1) unknowns. At
-    n = 6 (720 states, 5040 unknowns) the build takes about 2 ms and the
-    solve about 1.5 s with a 0.44 GB peak (2-vCPU x86 machine, numpy 2.4);
-    at n = 7 the age matrix alone would be about 13 GB.
+    n = 6 (720 states, 5040 unknowns) the build takes about 3 ms and the
+    solve 2.1 to 2.4 s with one BLAS thread, with a 0.44 GB peak (2-vCPU x86
+    machine, numpy 2.4 with OpenBLAS); at n = 7 the age matrix alone would be
+    about 13 GB.
     """
     lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
     mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]

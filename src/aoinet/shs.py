@@ -228,9 +228,14 @@ def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | f
     """Worst relative residual of diag * x = rhs + sum of rate * x[unknown].
 
     Relative to the per-equation sum of term magnitudes before cancellation,
-    so a tiny net imbalance on large opposing terms reads as tiny.
+    so a tiny net imbalance on large opposing terms reads as tiny. Rates are
+    first scaled down by a power of two that brings the largest exit rate,
+    which bounds every rate, below 1: the ratio is unchanged, and the sums
+    cannot overflow for rates near the float maximum.
     """
     eq, unknown, rate = terms
+    unit = math.ldexp(1.0, -max(math.frexp(diag.max())[1], 0))
+    diag, rate, rhs = diag * unit, rate * unit, rhs * unit
     term = rate * x[unknown]
     lhs = diag * x
     total = rhs + np.bincount(eq, weights=term, minlength=x.size)

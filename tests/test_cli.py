@@ -254,6 +254,21 @@ def test_run_sweep_chain_underflow_is_an_error_row():
         assert shs.aoi is None and "average age 0.0 is not finite and > 0" in shs.error
 
 
+# pytest records warnings instead of printing them; as errors they escape main
+@pytest.mark.filterwarnings("error")
+def test_main_sweep_near_float_max_writes_nothing_to_stderr(tmp_config, tmp_path, capfd):
+    spec_path = tmp_config(
+        sweep_doc(config=config_doc(n=3), parameter="total-arrival", grid=[1.0, 1.7e308],
+                  engines=["analytic", "shs"]),
+        name="sweep.json",
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 1
+    assert capfd.readouterr().err == ""
+    last = out.read_text().strip().splitlines()[-1]
+    assert last.startswith("1.7e+308,shs,0,,,") and "not finite" in last
+
+
 def test_sweep_csv_golden():
     spec = load_sweep_spec(
         sweep_doc(
@@ -626,6 +641,18 @@ def test_main_output_matches_golden(capsys, argv, golden):
     # closed forms and small chain solves only, so the bytes hold across machines
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("discipline", ["lcfs-s", "lcfs-w", "fcfs"])
+def test_main_simulate_matches_golden(capsys, discipline):
+    # three sources on three distinct servers; the bytes pin the simulator's
+    # random streams, kernels and integration
+    config = DATA / f"simulate_3x3_{discipline}.config.json"
+    argv = ["simulate", "--config", str(config), "--horizon", "20000", "--seed", "7",
+            "--replications", "3", "--format", "json"]
+    assert main(argv) == 0
+    golden = DATA / f"simulate_3x3_{discipline}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 def test_main_missing_file(capsys):

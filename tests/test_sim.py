@@ -1,4 +1,5 @@
 """Event-driven simulator: determinism, exact integration, independent references."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,13 @@ from aoinet.analytic import aoi_multi_source_n2
 from aoinet.model import NetworkConfig
 from aoinet.shs import ShsModel, ShsTransition, solve_age
 from aoinet.sim import (
+    _ENGINES,
     SimParams,
     SimResult,
     _deliveries_lcfs_w,
     _integrate_source,
+    _poisson_times,
+    _stream,
     replicate,
     simulate,
 )
@@ -60,6 +64,72 @@ def test_integrate_source_warmup_window():
     assert aoi == pytest.approx(2.4 / 2.0, rel=1e-12)
     assert nd == 1  # only the stale t=3 delivery falls in the window
     assert nu == 0
+
+
+def sorted_integrate_source(dt, dg, warmup, horizon, batches):
+    """Reference integrator: sorts the batch edges in among the useful deliveries
+    and finds each segment's level and batch by binary search."""
+    prev = np.maximum.accumulate(np.concatenate(([0.0], dg)))[:-1]
+    useful = dg > prev
+    in_window = dt > warmup
+    n_deliveries = int(in_window.sum())
+    n_useful = int((useful & in_window).sum())
+
+    t_useful = dt[useful]
+    g_useful = dg[useful]
+    edges = warmup + (horizon - warmup) * np.arange(batches + 1) / batches
+    inner = (t_useful > warmup) & (t_useful < horizon)
+    cuts = np.sort(np.concatenate([edges, t_useful[inner]]))
+    left = cuts[:-1]
+    right = cuts[1:]
+    level_t = np.concatenate(([0.0], t_useful))
+    level_g = np.concatenate(([0.0], g_useful))
+    g = level_g[np.searchsorted(level_t, left, side="right") - 1]
+    contrib = 0.5 * ((right - g) ** 2 - (left - g) ** 2)
+    bidx = np.clip(np.searchsorted(edges, left, side="right") - 1, 0, batches - 1)
+    per_batch = np.bincount(bidx, weights=contrib, minlength=batches)
+    width = (horizon - warmup) / batches
+    means = per_batch / width
+    aoi = float(per_batch.sum() / (horizon - warmup))
+    ci = float(1.96 * means.std(ddof=1) / math.sqrt(batches))
+    return aoi, ci, n_deliveries, n_useful
+
+
+# (gap to the previous delivery, its age at delivery); halves make deliveries at
+# one instant, on batch edges and at the horizon common, and age spread makes
+# stale deliveries
+_delivery_rows = st.lists(
+    st.tuples(st.integers(0, 6).map(lambda k: 0.5 * k), st.integers(0, 8).map(lambda k: 0.5 * k)),
+    max_size=40,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    rows=_delivery_rows,
+    warmup=st.one_of(st.integers(0, 8).map(lambda k: 0.5 * k), st.floats(0.0, 10.0)),
+    span=st.one_of(st.integers(1, 24).map(lambda k: 0.5 * k), st.floats(1e-3, 20.0)),
+    batches=st.integers(2, 64),
+)
+@example(rows=[], warmup=0.0, span=4.0, batches=2)  # empty stream
+@example(rows=[(0.5, 0.5), (1.0, 0.0), (0.5, 2.0)], warmup=2.0, span=2.0, batches=4)  # all at or before warmup
+@example(rows=[(1.5, 1.0), (0.5, 0.5)], warmup=1.0, span=2.0, batches=2)  # on a batch edge
+@example(rows=[(1.0, 0.5), (3.0, 1.0)], warmup=0.0, span=4.0, batches=2)  # at the horizon
+@example(rows=[(1.0, 0.5), (0.0, 0.0), (1.0, 2.0)], warmup=0.5, span=3.0, batches=3)  # same instant
+@example(rows=[(1.0, 0.0), (0.5, 2.0), (0.5, 0.5), (0.5, 3.0)], warmup=0.0, span=3.0, batches=2)  # stale
+@example(rows=[(0.5, 0.5)] * 30, warmup=1.0, span=14.0, batches=64)
+# rounding puts the last edge 2 ulp below the horizon, with a delivery in between
+@example(rows=[(20.192999999999994, 1.0)], warmup=2.176, span=18.017, batches=31)
+@example(rows=[(20.192999999999998, 1.0)], warmup=2.176, span=18.017, batches=31)  # and one at it
+def test_integrate_source_matches_sorted_reference(rows, warmup, span, batches):
+    horizon = warmup + span
+    dt = np.cumsum([gap for gap, _ in rows], dtype=float)
+    dg = np.maximum(dt - np.array([age for _, age in rows], dtype=float), 0.0)
+    # kernels deliver nothing after the horizon
+    keep = dt <= horizon
+    dt, dg = dt[keep], dg[keep]
+    expected = sorted_integrate_source(dt, dg, warmup, horizon, batches)
+    assert repr(_integrate_source(dt, dg, warmup, horizon, batches)) == repr(expected)
 
 
 def test_same_seed_bitwise_identical():
@@ -320,3 +390,53 @@ def test_result_type_round_trip():
     assert isinstance(r, SimResult)
     assert len(r.aoi) == 1 and len(r.ci_half_width) == 1
     assert r.seed == 2 and r.horizon == 1000.0
+
+
+def mask_split_simulate(params):
+    """Reference for the source split: one global time sort of every delivery,
+    then one boolean mask per source."""
+    config = params.config
+    m, n, seed, horizon = config.sources, config.servers, params.seed, params.horizon
+    warmup = 0.01 * horizon
+    engine = _ENGINES[config.discipline]
+    dt, dg, ds = [], [], []
+    for j in range(n):
+        times = [
+            _poisson_times(_stream(seed, i * n + j), config.arrival_rates[i][j], horizon)
+            for i in range(m)
+        ]
+        t = np.concatenate(times)
+        s = np.repeat(np.arange(m), [x.size for x in times])
+        order = np.argsort(t, kind="stable")
+        d, g, who = engine(t[order], s[order], _stream(seed, m * n + j), config.service_rates[j], horizon)
+        dt.append(d)
+        dg.append(g)
+        ds.append(who)
+    dt, dg, ds = np.concatenate(dt), np.concatenate(dg), np.concatenate(ds)
+    order = np.argsort(dt, kind="stable")
+    dt, dg, ds = dt[order], dg[order], ds[order]
+    return [
+        sorted_integrate_source(dt[ds == i], dg[ds == i], warmup, horizon, params.batches)
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(cfg(rates=[[0.7]], disc="lcfs-w"), id="1-source"),
+        # labels of 300 sources need more than 8 bits
+        pytest.param(
+            cfg(m=300, n=3, rates=[[0.002 * (1 + (i + j) % 5) for j in range(3)] for i in range(300)]),
+            id="300-sources",
+        ),
+    ],
+)
+def test_source_split_matches_mask_reference(config):
+    params = SimParams(config, 3000.0, seed=5)
+    result = simulate(params)
+    expected = mask_split_simulate(params)
+    assert result.aoi == tuple(a for a, _, _, _ in expected)
+    assert result.ci_half_width == tuple(c for _, c, _, _ in expected)
+    assert result.deliveries == sum(nd for _, _, nd, _ in expected)
+    assert result.useful_deliveries == sum(nu for _, _, _, nu in expected)
