@@ -35,17 +35,23 @@ def aoi_lcfs_homogeneous(n: int, lam: float, mu: float) -> float:
     return ((1.0 + total) / (n * rho) + prod / n**2) / mu
 
 
+def _shared_rates(lam_i: float, lam: float, mu: float) -> tuple[float, float, float]:
+    """Checked (lam_i, lam, mu) of one source among many on exchangeable servers."""
+    lam_i = positive_rate("lam_i", lam_i)
+    lam = positive_rate("lam", lam)
+    mu = positive_rate("mu", mu)
+    if lam_i > lam:
+        raise ValueError("lam_i cannot exceed the per-server total rate lam")
+    return lam_i, lam, mu
+
+
 def aoi_multi_source_n2(lam_i: float, lam: float, mu: float) -> float:
     """Average age of one source among many sharing two exchangeable servers.
 
     lam_i is the tracked source's per-server rate, lam the per-server total
     over all sources (lam_i <= lam).
     """
-    lam_i = positive_rate("lam_i", lam_i)
-    lam = positive_rate("lam", lam)
-    mu = positive_rate("mu", mu)
-    if lam_i > lam:
-        raise ValueError("lam_i cannot exceed the per-server total rate lam")
+    lam_i, lam, mu = _shared_rates(lam_i, lam, mu)
     return 1.0 / (2.0 * (lam + mu)) + (lam + mu) / (2.0 * mu * lam_i)
 
 
@@ -61,11 +67,7 @@ def aoi_multi_source_n3(lam_i: float, lam: float, mu: float) -> float:
     three-server balance system; at rho_i = rho it coincides with
     aoi_lcfs_homogeneous(3, lam, mu).
     """
-    lam_i = positive_rate("lam_i", lam_i)
-    lam = positive_rate("lam", lam)
-    mu = positive_rate("mu", mu)
-    if lam_i > lam:
-        raise ValueError("lam_i cannot exceed the per-server total rate lam")
+    lam_i, lam, mu = _shared_rates(lam_i, lam, mu)
     rho = lam / mu
     rho_i = lam_i / mu
     g = 2.0 * (rho + 1.0) ** 2

@@ -59,6 +59,13 @@ def build_multi_source_homogeneous(
     displace tracked content without refreshing the monitor: the displaced
     coordinate is dropped and a coordinate carrying the monitor's own age
     (useless if delivered) appears as the stalest entry.
+
+    Size: 2n transitions (3n with other sources), each with an (n + 1)-long
+    reset map, and a dense (n + 1)^2 age system in `solve_age`, so peak memory
+    is about 130 n^2 bytes (190 n^2 with other sources). n = 2,000 solves in
+    about 1.2 s at 0.53 GB and n = 3,000 in 2.8 s at 1.15 GB (one BLAS thread,
+    2-vCPU x86 machine, numpy 2.4 with OpenBLAS); n = 20,000 would need about
+    52 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")

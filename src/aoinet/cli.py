@@ -3,6 +3,11 @@
 Artifacts are machine-readable: sweeps emit CSV with the fixed schema
 (param,engine,source,aoi,ci_half_width,error) and floats at 12 significant
 digits, so identical spec + seed reproduces identical bytes.
+
+Every engine value, in `analytic` and in sweeps, comes per source from one
+function, `evaluate`; both exact engines share one preamble, `_exact_route`.
+Engines are looked up as module globals at call time, so rebinding a name
+here (as the benchmark's tracer does) intercepts every call to it.
 """
 from __future__ import annotations
 
@@ -65,63 +70,79 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def closed_form_aoi(config: NetworkConfig, source: int) -> float:
-    """Route to the closed form for this config class, for one source."""
+def _exact_route(config: NetworkConfig, engine: str) -> tuple[NetworkConfig, HomogeneityClass]:
+    """The config an exact engine solves, without its idle servers, and its class.
+
+    Both exact engines are lcfs-s only and have no model for several sources
+    on distinct servers; `engine` names the engine in those errors.
+    """
     if config.discipline is not QueueDiscipline.LCFS_S:
-        raise EngineError(
-            f"no closed form for discipline '{config.discipline.value}'; use simulate"
-        )
+        raise EngineError(f"no {engine} for discipline '{config.discipline.value}'; use simulate")
     config = drop_idle_servers(config)
     cls = classify(config)
-    n = config.servers
+    if cls is HomogeneityClass.GENERAL:
+        raise EngineError(f"no {engine} for multi-source networks with distinct servers")
+    return config, cls
+
+
+def closed_form_aoi(config: NetworkConfig, source: int) -> float:
+    """Route to the closed form for this config class, for one source."""
+    config, cls = _exact_route(config, "closed form")
+    n, row, mus = config.servers, config.arrival_rates[source], config.service_rates
     if cls is HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE:
-        return aoi_lcfs_homogeneous(n, config.arrival_rates[0][0], config.service_rates[0])
+        return aoi_lcfs_homogeneous(n, row[0], mus[0])
     if cls is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
-        lam_total = sum(row[0] for row in config.arrival_rates)
-        mu = config.service_rates[0]
+        lam_total = sum(r[0] for r in config.arrival_rates)
         if n == 2:
-            return aoi_multi_source_n2(config.arrival_rates[source][0], lam_total, mu)
+            return aoi_multi_source_n2(row[0], lam_total, mus[0])
         if n == 3:
-            return aoi_multi_source_n3(config.arrival_rates[source][0], lam_total, mu)
+            return aoi_multi_source_n3(row[0], lam_total, mus[0])
         raise EngineError(f"no closed form for {n} shared servers; use the shs engine")
-    if cls is HomogeneityClass.HETEROGENEOUS_SINGLE_SOURCE:
-        row = config.arrival_rates[0]
-        if n == 2:
-            return aoi_hetero_n2(row[0], row[1], *config.service_rates)
-        if n == 3:
-            return aoi_hetero_n3(row, config.service_rates)
-        raise EngineError(f"no closed form for {n} distinct servers; use the shs engine")
-    raise EngineError("no closed form for multi-source networks with distinct servers")
+    if n == 2:
+        return aoi_hetero_n2(row[0], row[1], *mus)
+    if n == 3:
+        return aoi_hetero_n3(row, mus)
+    raise EngineError(f"no closed form for {n} distinct servers; use the shs engine")
 
 
 def chain_aoi(config: NetworkConfig, source: int) -> float:
     """Build and solve the exact chain model for this config class, for one source."""
-    if config.discipline is not QueueDiscipline.LCFS_S:
-        raise EngineError(
-            f"no chain model for discipline '{config.discipline.value}'; use simulate"
-        )
-    config = drop_idle_servers(config)
-    cls = classify(config)
-    n = config.servers
+    config, cls = _exact_route(config, "chain model")
+    n, row, mus = config.servers, config.arrival_rates[source], config.service_rates
     if cls is HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE:
-        model = build_single_source_homogeneous(
-            n, config.arrival_rates[0][0], config.service_rates[0]
-        )
+        model = build_single_source_homogeneous(n, row[0], mus[0])
     elif cls is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
-        model = build_multi_source_homogeneous(
-            n,
-            config.sources,
-            source,
-            [row[0] for row in config.arrival_rates],
-            config.service_rates[0],
-        )
-    elif cls is HomogeneityClass.HETEROGENEOUS_SINGLE_SOURCE:
-        model = build_heterogeneous_single_source(
-            config.arrival_rates[0], config.service_rates
-        )
+        rates = [r[0] for r in config.arrival_rates]
+        model = build_multi_source_homogeneous(n, config.sources, source, rates, mus[0])
     else:
-        raise EngineError("no chain model for multi-source networks with distinct servers")
+        model = build_heterogeneous_single_source(row, mus)
     return solve_age(model).aoi
+
+
+def evaluate(
+    engine: str, config: NetworkConfig, run: SimParams | None = None, replications: int = 1
+) -> list[tuple[float | None, float | None, str]]:
+    """(aoi, ci_half_width, error) for each source of `config` from one engine.
+
+    `engine` is a row label: "analytic", "shs" or "sim:<discipline>". An exact
+    engine runs, and may fail, once per source. One simulation (`run` on this
+    config in that discipline) covers every source, so its error fills every row.
+    """
+    if engine.startswith("sim:"):
+        try:
+            sim_config = replace(config, discipline=QueueDiscipline(engine[4:]))
+            result = replicate(replace(run, config=sim_config), replications)
+        except (ValueError, RuntimeError) as e:
+            return [(None, None, str(e))] * config.sources
+        return [(a, c, "") for a, c in zip(result.aoi, result.ci_half_width)]
+    fn = closed_form_aoi if engine == "analytic" else chain_aoi
+    values = []
+    for i in range(config.sources):
+        try:
+            values.append((fn(config, i), None, ""))
+        except (ValueError, RuntimeError) as e:
+            values.append((None, None, str(e)))
+    return values
 
 
 @dataclass
@@ -243,18 +264,13 @@ def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> Netw
         return NetworkConfig(
             config.sources, k, rows, [config.service_rates[0]] * k, config.discipline
         )
-    if parameter == "per-server-arrival":
+    if parameter in ("per-server-arrival", "total-arrival"):
         if config.sources != 1:
-            raise EngineError("per-server-arrival sweeps need a single-source config")
+            raise EngineError(f"{parameter} sweeps need a single-source config")
         if value <= 0:
-            raise EngineError("per-server-arrival values must be > 0")
-        return replace(config, arrival_rates=((value,) * n,))
-    if parameter == "total-arrival":
-        if config.sources != 1:
-            raise EngineError("total-arrival sweeps need a single-source config")
-        if value <= 0:
-            raise EngineError("total-arrival values must be > 0")
-        return replace(config, arrival_rates=((value / n,) * n,))
+            raise EngineError(f"{parameter} values must be > 0")
+        per_server = value if parameter == "per-server-arrival" else value / n
+        return replace(config, arrival_rates=((per_server,) * n,))
     if parameter == "tracked-source-rate":
         if classify(config) is not HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
             raise EngineError(
@@ -286,45 +302,20 @@ def _max_workers(points: int) -> int:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point with every engine; rows stay in grid order."""
-    jobs = []  # (row label, simulated discipline or None), in row order
+    labels = []  # one per row group, in row order
     for engine in spec.engines:
-        if engine == "sim":
-            jobs += [(f"sim:{d.value}", d) for d in spec.disciplines]
-        else:
-            jobs.append((engine, None))
-
-    def job_values(cfg: NetworkConfig, label: str, disc, sources) -> list[tuple]:
-        """(aoi, ci_half_width) for each of `sources` from one job."""
-        if disc is None:
-            fn = closed_form_aoi if label == "analytic" else chain_aoi
-            return [(fn(cfg, i), None) for i in sources]
-        params = replace(spec.run, config=replace(cfg, discipline=disc))
-        result = replicate(params, spec.replications)
-        return list(zip(result.aoi, result.ci_half_width))
+        labels += [f"sim:{d.value}" for d in spec.disciplines] if engine == "sim" else [engine]
 
     def point_rows(value: float) -> list[SweepRow]:
-        def failed(label: str, sources, e: Exception) -> list[SweepRow]:
-            return [SweepRow(value, label, i, None, None, str(e)) for i in sources]
-
         try:
             cfg = apply_parameter(spec.run.config, spec.parameter, value)
         except (ValueError, RuntimeError) as e:
-            return [row for label, _ in jobs for row in failed(label, [0], e)]
-        rows: list[SweepRow] = []
-        for label, disc in jobs:
-            # a closed form or chain fails per source; one simulation covers all
-            if disc is None:
-                groups = [[i] for i in range(cfg.sources)]
-            else:
-                groups = [range(cfg.sources)]
-            for sources in groups:
-                try:
-                    found = job_values(cfg, label, disc, sources)
-                except (ValueError, RuntimeError) as e:
-                    rows += failed(label, sources, e)
-                else:
-                    rows += [SweepRow(value, label, i, *v) for i, v in zip(sources, found)]
-        return rows
+            return [SweepRow(value, label, 0, None, None, str(e)) for label in labels]
+        return [
+            SweepRow(value, label, i, *found)
+            for label in labels
+            for i, found in enumerate(evaluate(label, cfg, spec.run, spec.replications))
+        ]
 
     with ThreadPoolExecutor(max_workers=_max_workers(len(spec.grid))) as ex:
         per_point = list(ex.map(point_rows, spec.grid))
@@ -380,39 +371,28 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config).read_text(encoding="utf-8"))
-    entries = []
-    for i in range(config.sources):
-        entry: dict[str, object] = {"source": i}
-        for name, fn in (("analytic", closed_form_aoi), ("shs", chain_aoi)):
-            try:
-                entry[name] = fn(config, i)
-            except (ValueError, RuntimeError) as e:
-                entry[f"{name}_error"] = str(e)
-        entries.append(entry)
-    if not any("analytic" in e or "shs" in e for e in entries):
-        first = entries[0]
-        sys.stderr.write("aoinet: error: no analytic engine applies: "
-                         f"analytic: {first['analytic_error']}; shs: {first['shs_error']}\n")
+    found = {name: evaluate(name, config) for name in ("analytic", "shs")}
+    if all(aoi is None for values in found.values() for aoi, _, _ in values):
+        errors = "; ".join(f"{name}: {values[0][2]}" for name, values in found.items())
+        sys.stderr.write(f"aoinet: error: no analytic engine applies: {errors}\n")
         return 2
-    disagreements = [
-        abs(e["analytic"] - e["shs"]) / max(abs(e["analytic"]), abs(e["shs"]))
-        for e in entries
-        if "analytic" in e and "shs" in e
-    ]
-    worst = max(disagreements) if disagreements else None
+    # each engine's value or error, as JSON fields and as text, per source
+    entries = [{"source": i} for i in range(config.sources)]
+    lines = [f"source {i}:" for i in range(config.sources)]
+    for name, values in found.items():
+        for i, (aoi, _, error) in enumerate(values):
+            if aoi is None:
+                entries[i][f"{name}_error"] = error
+                lines[i] += f" {name}=error({error})"
+            else:
+                entries[i][name] = aoi
+                lines[i] += f" {name}={_fmt(aoi)}"
+    pairs = [(e["analytic"], e["shs"]) for e in entries if "analytic" in e and "shs" in e]
+    worst = max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs), default=None)
     if args.format == "json":
         doc = {"sources": entries, "max_rel_disagreement": worst}
         _write_out(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        lines = []
-        for entry in entries:
-            parts = [f"source {entry['source']}:"]
-            for name in ("analytic", "shs"):
-                if name in entry:
-                    parts.append(f"{name}={_fmt(entry[name])}")
-                else:
-                    parts.append(f"{name}=error({entry[f'{name}_error']})")
-            lines.append(" ".join(parts))
         lines.append(
             "max relative disagreement: "
             + ("n/a" if worst is None else f"{worst:.3e}")

@@ -1,9 +1,11 @@
 """CLI surface: engine routing, sweep specs, artifacts, exit codes."""
+import collections
 import json
 from pathlib import Path
 
 import pytest
 
+from aoinet import analytic, cli
 from aoinet.analytic import aoi_hetero_n2, aoi_lcfs_homogeneous, aoi_multi_source_n2
 from aoinet.cli import (
     CSV_HEADER,
@@ -658,3 +660,76 @@ def test_main_simulate_matches_golden(capsys, discipline):
 def test_main_missing_file(capsys):
     assert main(["analytic", "--config", "/nonexistent/config.json"]) == 2
     assert "aoinet: error:" in capsys.readouterr().err
+
+
+# one config per engine route, with the exit code; a config that no exact
+# engine covers exits 2 with one stderr line (the .err golden) in either format
+ANALYTIC_GOLDENS = [
+    ("1x3_exchangeable", 0),
+    ("2x2_shared", 0),
+    ("2x3_shared", 0),
+    ("2x4_shared", 0),  # past the shared-server closed forms
+    ("1x2_distinct", 0),
+    ("1x3_distinct", 0),
+    ("1x5_distinct", 0),  # past the distinct-server closed forms
+    ("1x7_one_idle", 0),  # solved as six exchangeable servers
+    ("2x2_general", 2),
+    ("1x2_fcfs", 2),
+]
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("case, code", ANALYTIC_GOLDENS)
+def test_main_analytic_matches_golden(capsys, case, code, fmt, ext):
+    config = DATA / f"analytic_{case}.config.json"
+    assert main(["analytic", "--config", str(config), "--format", fmt]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        assert out.encode("utf-8") == (DATA / f"analytic_{case}.{ext}").read_bytes()
+    else:
+        assert out == ""
+        assert err.encode("utf-8") == (DATA / f"analytic_{case}.err").read_bytes()
+
+
+# every name perfbench/tracing.py rebinds on aoinet.cli, and the two it
+# rebinds on aoinet.analytic; its per-layer counts are right only while the
+# CLI looks these up at call time
+TRACED_NAMES = [
+    (cli, name)
+    for name in (
+        "load_config", "aoi_lcfs_homogeneous", "aoi_multi_source_n2", "aoi_multi_source_n3",
+        "aoi_hetero_n2", "aoi_hetero_n3", "grid_minimize", "optimal_hetero_split_n2",
+        "optimal_weighted_split", "build_single_source_homogeneous",
+        "build_multi_source_homogeneous", "build_heterogeneous_single_source", "solve_age",
+        "replicate", "run_sweep", "ThreadPoolExecutor",
+    )
+] + [(analytic, "solve_age"), (analytic, "build_heterogeneous_single_source")]
+
+
+def test_traced_names_are_looked_up_at_call_time(monkeypatch, tmp_config, capsys):
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    keys = [f"{module.__name__}.{name}" for module, name in TRACED_NAMES]
+    for key, (module, name) in zip(keys, TRACED_NAMES):
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    for case in ("1x3_exchangeable", "2x2_shared", "2x3_shared", "1x2_distinct", "1x3_distinct"):
+        assert main(["analytic", "--config", str(DATA / f"analytic_{case}.config.json")]) == 0
+    spec = sweep_doc(parameter="per-server-arrival", grid=[0.5, 1.0], engines=["sim"],
+                     horizon=2000.0)
+    assert main(["sweep", "--spec", tmp_config(spec, "spec.json")]) == 0
+    assert main(["simulate", "--config", tmp_config(json.dumps(config_doc())),
+                 "--horizon", "2000"]) == 0
+    assert main(["optimize", "--kind", "weighted", "--weights", "1,4", "--total", "3",
+                 "--mu", "1"]) == 0
+    assert main(["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30",
+                 "--mu2", "70"]) == 0
+    capsys.readouterr()
+    assert [key for key in keys if not calls[key]] == []
