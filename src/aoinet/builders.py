@@ -18,24 +18,6 @@ from .model import positive_rate
 from .shs import ShsModel
 
 
-def _arrival_take(d: int, slot: int) -> np.ndarray:
-    """Fresh update enters as the new slot-th freshest age (slot >= 1).
-
-    The monitor keeps its age, fresher coordinates shift down one slot, the
-    previous occupant of `slot` is dropped, staler coordinates are untouched.
-    """
-    return np.r_[0, -1, 1:slot, slot + 1 : d]
-
-
-def _delivery_take(d: int, k: int) -> np.ndarray:
-    """The k-th freshest update reaches the monitor.
-
-    The monitor takes age x_k; coordinates k..n all take x_k (synthetic
-    refresh of the stale servers); fresher coordinates are untouched.
-    """
-    return np.r_[k, 1:k, [k] * (d - k)]
-
-
 def build_single_source_homogeneous(n: int, lam: float, mu: float) -> ShsModel:
     """One source, n exchangeable servers, per-server rates (lam, mu).
 
@@ -62,10 +44,10 @@ def build_multi_source_homogeneous(
 
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
     reset map, and a dense (n + 1)^2 age system in `solve_age`, so peak memory
-    is about 130 n^2 bytes (190 n^2 with other sources). n = 2,000 solves in
-    about 1.2 s at 0.53 GB and n = 3,000 in 2.8 s at 1.15 GB (one BLAS thread,
-    2-vCPU x86 machine, numpy 2.4 with OpenBLAS); n = 20,000 would need about
-    52 GB.
+    is about 115 n^2 bytes (170 n^2 with other sources). n = 2,000 builds in
+    0.07 s and solves in 0.6 to 0.7 s at 0.47 GB, and n = 3,000 in 0.14 s and
+    1.5 to 1.7 s at 1.02 GB (one BLAS thread, 2-vCPU x86 machine, numpy 2.4
+    with OpenBLAS); n = 20,000 would need about 46 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -84,20 +66,33 @@ def build_multi_source_homogeneous(
     mu = positive_rate("mu", mu)
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
+    # row s - 1 of each map acts on freshness slot s (1..n); coordinate 0 is
+    # the monitor
     d = n + 1
-    slots = range(1, n + 1)
-    rate = [lam_i] * n
-    take = [_arrival_take(d, slot) for slot in slots]
-    if lam_bar > 0:
-        # the occupant of `slot` is dropped, staler slots move one slot
-        # fresher, and the displaced server's monitor-age content is
-        # appended as the stalest coordinate
-        rate += [lam_bar] * n
-        take += [np.r_[0:slot, slot + 1 : d, 0] for slot in slots]
-    rate += [mu] * n
-    take += [_delivery_take(d, k) for k in slots]
-    state = np.zeros(len(rate), dtype=np.intp)  # every transition is a self-loop
-    return ShsModel(1, d, state, state, np.array(rate), np.array(take), np.ones((1, d)))
+    coord = np.arange(d)
+    slot = coord[1:, None]
+    # a fresh update enters as the new slot-th freshest age: the monitor keeps
+    # its age, fresher coordinates shift down one slot, the previous occupant
+    # of the slot is dropped, staler coordinates are untouched
+    arrival = coord - (coord <= slot)
+    arrival[:, :2] = (0, -1)
+    # another source's update drops the slot's occupant, staler slots move one
+    # slot fresher, and the displaced server's monitor-age content is appended
+    # as the stalest coordinate
+    displaced = coord + (coord >= slot)
+    displaced[:, -1] = 0
+    # the slot's update reaches the monitor: the monitor and every slot at or
+    # staler than it take its age (synthetic refresh of the stale servers);
+    # fresher coordinates are untouched
+    delivery = np.minimum(coord, slot)
+    delivery[:, 0] = slot[:, 0]
+    # rows: n arrivals, n displacements if other sources send, n deliveries
+    map_rates = [lam_i, lam_bar, mu] if lam_bar > 0 else [lam_i, mu]
+    maps = [arrival, displaced, delivery] if lam_bar > 0 else [arrival, delivery]
+    state = np.zeros(len(maps) * n, dtype=np.intp)  # every transition is a self-loop
+    return ShsModel(
+        1, d, state, state, np.repeat(map_rates, n), np.concatenate(maps), np.ones((1, d))
+    )
 
 
 def build_heterogeneous_single_source(

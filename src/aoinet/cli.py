@@ -66,8 +66,17 @@ class EngineError(RuntimeError):
     """No engine of the requested kind applies to this config."""
 
 
+# how an engine fails on a config it accepts, running out of memory included
+_ENGINE_FAILURES = (ValueError, RuntimeError, MemoryError)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _message(e: Exception) -> str:
+    # a bare MemoryError has no message, and an empty error field reads as success
+    return str(e) or type(e).__name__
 
 
 def _exact_route(config: NetworkConfig, engine: str) -> tuple[NetworkConfig, HomogeneityClass]:
@@ -132,16 +141,16 @@ def evaluate(
         try:
             sim_config = replace(config, discipline=QueueDiscipline(engine[4:]))
             result = replicate(replace(run, config=sim_config), replications)
-        except (ValueError, RuntimeError) as e:
-            return [(None, None, str(e))] * config.sources
+        except _ENGINE_FAILURES as e:
+            return [(None, None, _message(e))] * config.sources
         return [(a, c, "") for a, c in zip(result.aoi, result.ci_half_width)]
     fn = closed_form_aoi if engine == "analytic" else chain_aoi
     values = []
     for i in range(config.sources):
         try:
             values.append((fn(config, i), None, ""))
-        except (ValueError, RuntimeError) as e:
-            values.append((None, None, str(e)))
+        except _ENGINE_FAILURES as e:
+            values.append((None, None, _message(e)))
     return values
 
 
@@ -293,7 +302,9 @@ def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> Netw
 
 
 def _max_workers(points: int) -> int:
-    cap = os.cpu_count() or 1
+    # one thread per CPU this process may run on, where the platform tells
+    affinity = getattr(os, "sched_getaffinity", None)
+    cap = len(affinity(0)) if affinity else os.cpu_count() or 1
     env = os.environ.get("AOI_THREADS")
     if env is not None:
         cap = max(1, int(env))
@@ -309,8 +320,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     def point_rows(value: float) -> list[SweepRow]:
         try:
             cfg = apply_parameter(spec.run.config, spec.parameter, value)
-        except (ValueError, RuntimeError) as e:
-            return [SweepRow(value, label, 0, None, None, str(e)) for label in labels]
+        except _ENGINE_FAILURES as e:
+            return [SweepRow(value, label, 0, None, None, _message(e)) for label in labels]
         return [
             SweepRow(value, label, i, *found)
             for label in labels
@@ -578,8 +589,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as e:
-        sys.stderr.write(f"aoinet: error: {e}\n")
+    except (ConfigError, ValueError, OSError, MemoryError) as e:
+        sys.stderr.write(f"aoinet: error: {_message(e)}\n")
         return 2
 
 

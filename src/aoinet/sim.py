@@ -18,11 +18,11 @@ clock, and only the first two ticks after each arrival can change the state.
 Its service stream holds 2n draws for n arrivals: the first-tick offsets
 after each arrival, then the second-tick offsets after each first tick.
 
-After the kernels, each delivery costs O(1) apart from one stable sort by
-delivery time, which merges the servers' already time-ordered runs. A stable
-radix sort of the narrow source labels then makes the stream source-major,
-so each source's deliveries come out as one nondecreasing slice, and the
-sawtooth integral over it needs no further sort or search.
+After the kernels, each delivery costs O(1) apart from one stable lexsort
+keyed by narrow source label, then delivery time. It makes the stream
+source-major, so each source's deliveries come out as one nondecreasing slice
+(ties in server order), and the sawtooth integral over it needs no further
+sort or search.
 """
 from __future__ import annotations
 
@@ -234,9 +234,9 @@ def simulate(params: SimParams) -> SimResult:
                 )
 
     engine = _ENGINES[cfg.discipline]
-    # the narrowest label type lets numpy radix-sort the labels below
+    # the narrowest label type makes the source key of the sort below cheap
     label_type = np.min_scalar_type(m - 1)
-    all_t, all_g, all_s = [], [], []
+    runs = []
     for j in range(n):
         times = [
             _poisson_times(_stream(seed, i * n + j), cfg.arrival_rates[i][j], horizon)
@@ -246,19 +246,12 @@ def simulate(params: SimParams) -> SimResult:
         s = np.repeat(np.arange(m, dtype=label_type), [x.size for x in times])
         order = np.argsort(t, kind="stable")
         t, s = t[order], s[order]
-        d, g, ds = engine(t, s, _stream(seed, m * n + j), cfg.service_rates[j], horizon)
-        all_t.append(d)
-        all_g.append(g)
-        all_s.append(ds)
+        runs.append(engine(t, s, _stream(seed, m * n + j), cfg.service_rates[j], horizon))
 
-    dt = np.concatenate(all_t)
-    dg = np.concatenate(all_g)
-    dsrc = np.concatenate(all_s)
-    # time order, then a stable sort by source: rows are source-major and
-    # still in time order within each source
-    order = np.argsort(dt, kind="stable")
-    dsrc = dsrc[order]
-    order = order[np.argsort(dsrc, kind="stable")]
+    dt, dg, dsrc = (np.concatenate(parts) for parts in zip(*runs))
+    # a stable sort by source, then time: rows are source-major and in time
+    # order within each source, with ties in server order
+    order = np.lexsort((dt, dsrc))
     cut = np.cumsum(np.bincount(dsrc, minlength=m))[:-1]
     per_source = zip(np.split(dt[order], cut), np.split(dg[order], cut))
 

@@ -14,6 +14,8 @@ from aoinet.builders import (
 )
 from aoinet.shs import ShsModel, ShsTransition, solve_age, stationary_distribution
 
+_RATE = st.floats(0.1, 10.0)
+
 
 def transition_key(t):
     return (round(t.rate, 12), t.source, t.target, t.reset.tobytes())
@@ -91,6 +93,78 @@ def test_multi_source_displacement_reset():
     # only re-deliver the monitor's current age appears as the stalest entry
     assert np.array_equal(disp[0].reset, [[1, 0, 1], [0, 0, 0], [0, 1, 0]])
     assert np.array_equal(disp[1].reset, [[1, 0, 1], [0, 1, 0], [0, 0, 0]])
+
+
+def _arrival_take(d, slot):
+    """Fresh update enters as the new slot-th freshest age (slot >= 1).
+
+    The monitor keeps its age, fresher coordinates shift down one slot, the
+    previous occupant of `slot` is dropped, staler coordinates are untouched.
+    """
+    return np.r_[0, -1, 1:slot, slot + 1 : d]
+
+
+def _displacement_take(d, slot):
+    """Another source's update drops the occupant of `slot`.
+
+    Staler slots move one slot fresher, and the displaced server's
+    monitor-age content is appended as the stalest coordinate.
+    """
+    return np.r_[0:slot, slot + 1 : d, 0]
+
+
+def _delivery_take(d, k):
+    """The k-th freshest update reaches the monitor.
+
+    The monitor takes age x_k; coordinates k..n all take x_k (synthetic
+    refresh of the stale servers); fresher coordinates are untouched.
+    """
+    return np.r_[k, 1:k, [k] * (d - k)]
+
+
+def exchangeable_oracle(n, tracked, rates, mu):
+    """The exchangeable-server chain written one reset map per slot.
+
+    Kept as the reference for the array builder: the same rows in the same
+    order (n arrivals, n displacements when other sources send, n deliveries).
+    """
+    lam_i = rates[tracked]
+    lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
+    d = n + 1
+    slots = range(1, n + 1)
+    rate = [lam_i] * n
+    take = [_arrival_take(d, slot) for slot in slots]
+    if lam_bar > 0:
+        rate += [lam_bar] * n
+        take += [_displacement_take(d, slot) for slot in slots]
+    rate += [mu] * n
+    take += [_delivery_take(d, k) for k in slots]
+    state = np.zeros(len(rate), dtype=np.intp)
+    return ShsModel(1, d, state, state, np.array(rate), np.array(take), np.ones((1, d)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.lists(st.one_of(st.just(0.0), _RATE), max_size=3).flatmap(
+        lambda others: st.tuples(st.just(others), st.integers(0, len(others)))
+    ),
+    _RATE,
+    _RATE,
+)
+def test_exchangeable_matches_the_per_slot_oracle(n, case, lam, mu):
+    # other sources' rates are zero or positive; the tracked one is inserted
+    # at any index
+    others, tracked = case
+    rates = others[:tracked] + [lam] + others[tracked:]
+    got = build_multi_source_homogeneous(n, len(rates), tracked, rates, mu)
+    want = exchangeable_oracle(n, tracked, rates, mu)
+    assert (got.num_states, got.age_dim) == (want.num_states, want.age_dim)
+    for field in ("source", "target", "rate", "take"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    if n <= 8:
+        assert repr(solve_age(got).aoi) == repr(solve_age(want).aoi)
 
 
 def reduced_age_equations(n, lam_i, lam_bar, mu, v):
@@ -248,9 +322,6 @@ def test_hetero_at_the_server_cap():
     lam, mu = 0.8, 1.3
     het = solve_age(build_heterogeneous_single_source([lam] * 6, [mu] * 6)).aoi
     assert het == pytest.approx(aoi_lcfs_homogeneous(6, lam, mu), rel=1e-9)
-
-
-_RATE = st.floats(0.1, 10.0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -322,6 +322,17 @@ def test_thread_count_override(monkeypatch):
     assert _max_workers(2) >= 1
 
 
+def test_thread_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("AOI_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _max_workers(10) == 2
+    assert _max_workers(1) == 1
+    # where the platform has no affinity call, the CPU count
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert _max_workers(10) == 8
+
+
 def test_sweep_deterministic_across_thread_counts(monkeypatch):
     doc = sweep_doc(
         config=config_doc(n=1, rates=[[0.8]]),
@@ -655,6 +666,51 @@ def test_main_simulate_matches_golden(capsys, discipline):
     assert main(argv) == 0
     golden = DATA / f"simulate_3x3_{discipline}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 6.40 GiB for an array with shape (60000, 20001)")
+
+
+def test_main_analytic_out_of_memory_is_an_shs_error(monkeypatch, tmp_config, capsys):
+    # the closed form still answers, so the report is written and exits 0
+    monkeypatch.setattr(cli, "build_single_source_homogeneous", _out_of_memory)
+    path = tmp_config(json.dumps(config_doc(n=3)))
+    assert main(["analytic", "--config", path, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (source,) = json.loads(out)["sources"]
+    assert source["analytic"] == pytest.approx(aoi_lcfs_homogeneous(3, 1.0, 1.0))
+    assert source["shs_error"].startswith("Unable to allocate 6.40 GiB")
+
+
+def test_main_sweep_out_of_memory_is_an_error_row(monkeypatch, tmp_config, tmp_path, capsys):
+    # a bare MemoryError has no message; its rows must still read as failed
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "replicate", bare)
+    spec = sweep_doc(parameter="per-server-arrival", grid=[0.5, 1.0],
+                     engines=["analytic", "sim"], horizon=2000.0)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--spec", tmp_config(spec, "spec.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["analytic", "sim:lcfs-s"] * 2
+    for analytic_row, sim_row in zip(rows[::2], rows[1::2]):
+        assert analytic_row[3] != "" and analytic_row[5] == ""
+        assert sim_row[3:] == ["", "", "MemoryError"]
+
+
+def test_main_simulate_out_of_memory_is_one_line(monkeypatch, tmp_config, capsys):
+    monkeypatch.setattr(cli, "replicate", _out_of_memory)
+    path = tmp_config(json.dumps(config_doc()))
+    assert main(["simulate", "--config", path, "--horizon", "1e12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "aoinet: error: Unable to allocate 6.40 GiB for an array with shape (60000, 20001)\n"
+    )
 
 
 def test_main_missing_file(capsys):
