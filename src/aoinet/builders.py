@@ -25,17 +25,16 @@ def build_single_source_homogeneous(n: int, lam: float, mu: float) -> ShsModel:
     state, n arrival transitions (the fresh update can land in any freshness
     slot) and n delivery transitions.
     """
-    return build_multi_source_homogeneous(n, 1, 0, [positive_rate("lam", lam)], mu)
+    return build_multi_source_homogeneous(n, 0, [positive_rate("lam", lam)], mu)
 
 
 def build_multi_source_homogeneous(
     n: int,
-    num_sources: int,
     tracked: int,
     rates: list[float] | tuple[float, ...],
     mu: float,
 ) -> ShsModel:
-    """num_sources sources sharing n exchangeable servers; one source tracked.
+    """len(rates) sources share n exchangeable servers; the age is source `tracked`'s.
 
     rates[i] is source i's per-server arrival rate. Other sources' updates
     displace tracked content without refreshing the monitor: the displaced
@@ -52,10 +51,6 @@ def build_multi_source_homogeneous(
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     rates = [float(r) for r in rates]
-    if not rates:
-        raise ValueError("need at least one source rate")
-    if num_sources != len(rates):
-        raise ValueError("num_sources must equal len(rates)")
     if not (0 <= tracked < len(rates)):
         raise ValueError("tracked index out of range")
     if any(not math.isfinite(r) or r < 0 for r in rates):

@@ -66,8 +66,8 @@ class EngineError(RuntimeError):
     """No engine of the requested kind applies to this config."""
 
 
-# how an engine fails on a config it accepts, running out of memory included
-_ENGINE_FAILURES = (ValueError, RuntimeError, MemoryError)
+# how an engine fails on a config it accepts, out of memory or float range included
+_ENGINE_FAILURES = (ValueError, RuntimeError, ArithmeticError, MemoryError)
 
 
 def _fmt(x: float) -> str:
@@ -99,19 +99,22 @@ def closed_form_aoi(config: NetworkConfig, source: int) -> float:
     config, cls = _exact_route(config, "closed form")
     n, row, mus = config.servers, config.arrival_rates[source], config.service_rates
     if cls is HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE:
-        return aoi_lcfs_homogeneous(n, row[0], mus[0])
-    if cls is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
-        lam_total = sum(r[0] for r in config.arrival_rates)
-        if n == 2:
-            return aoi_multi_source_n2(row[0], lam_total, mus[0])
-        if n == 3:
-            return aoi_multi_source_n3(row[0], lam_total, mus[0])
-        raise EngineError(f"no closed form for {n} shared servers; use the shs engine")
-    if n == 2:
-        return aoi_hetero_n2(row[0], row[1], *mus)
-    if n == 3:
-        return aoi_hetero_n3(row, mus)
-    raise EngineError(f"no closed form for {n} distinct servers; use the shs engine")
+        aoi = aoi_lcfs_homogeneous(n, row[0], mus[0])
+    elif cls is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
+        if n not in (2, 3):
+            raise EngineError(f"no closed form for {n} shared servers; use the shs engine")
+        shared = aoi_multi_source_n2 if n == 2 else aoi_multi_source_n3
+        aoi = shared(row[0], sum(r[0] for r in config.arrival_rates), mus[0])
+    elif n == 2:
+        aoi = aoi_hetero_n2(row[0], row[1], *mus)
+    elif n == 3:
+        aoi = aoi_hetero_n3(row, mus)
+    else:
+        raise EngineError(f"no closed form for {n} distinct servers; use the shs engine")
+    # extreme rate ratios can overflow a formula's terms
+    if not (math.isfinite(aoi) and aoi > 0):
+        raise ValueError(f"average age {aoi!r} is not finite and > 0")
+    return aoi
 
 
 def chain_aoi(config: NetworkConfig, source: int) -> float:
@@ -122,7 +125,7 @@ def chain_aoi(config: NetworkConfig, source: int) -> float:
         model = build_single_source_homogeneous(n, row[0], mus[0])
     elif cls is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
         rates = [r[0] for r in config.arrival_rates]
-        model = build_multi_source_homogeneous(n, config.sources, source, rates, mus[0])
+        model = build_multi_source_homogeneous(n, source, rates, mus[0])
     else:
         model = build_heterogeneous_single_source(row, mus)
     return solve_age(model).aoi
@@ -589,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError, MemoryError) as e:
+    except (ConfigError, ValueError, OSError, ArithmeticError, MemoryError) as e:
         sys.stderr.write(f"aoinet: error: {_message(e)}\n")
         return 2
 

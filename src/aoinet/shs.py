@@ -264,6 +264,8 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
     if not _strongly_connected(model):
         raise NonErgodicError("chain is not irreducible")
     diag, terms = model.exit_rates(), (model.target, model.source, model.rate)
+    if not np.all(np.isfinite(diag)):
+        raise NonErgodicError(f"exit rate {float(diag.max())!r} is not finite")
     m = _matrix(diag, terms)
     rhs = np.zeros(model.num_states)
     m[-1, :] = 1.0
@@ -274,7 +276,8 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     worst = _residual(diag, terms, pi, 0.0)
-    if worst > RESIDUAL_RTOL:
+    # a NaN residual fails too
+    if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(
             f"balance residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"
         )
@@ -294,7 +297,7 @@ def solve_age(model: ShsModel) -> ShsSolution:
     rhs = (model.growth * pi[:, None]).ravel()
     flat = _solve(_matrix(diag, terms), rhs, "age")
     worst = _residual(diag, terms, flat, rhs)
-    if worst > RESIDUAL_RTOL:
+    if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(
             f"age system residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"
         )

@@ -1,10 +1,11 @@
 """Discrete-event simulation of the update network with exact age accounting.
 
-Servers share no queue state, so each server's event sequence (its merged
-Poisson arrivals and its service completions) is generated independently and
-the resulting deliveries are merged into one time-ordered stream for the
-monitor. Per-source age is the exact integral of the piecewise-linear
-sawtooth, never a sampled approximation.
+Servers share no queue state, so a kernel simulates each server's queue on
+its own: its merged Poisson arrival times in, and out the delivery times and
+the integer indices of the delivered arrivals, both in delivery order. Only
+`simulate` knows which source sent an arrival; it splits the deliveries into
+one stream per source. Per-source age is the exact integral of the
+piecewise-linear sawtooth, never a sampled approximation.
 
 Randomness comes from counter-based keyed streams: one per (source, server)
 arrival process and one per server's service process, so any one stream's
@@ -92,6 +93,8 @@ def _poisson_times(rng: np.random.Generator, rate: float, horizon: float) -> np.
     if rate <= 0.0:
         return np.empty(0)
     expected = rate * horizon
+    if not math.isfinite(expected):
+        raise ValueError(f"arrival rate {rate:g} times horizon {horizon:g} is not finite")
     chunk = int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16
     pieces = []
     last = 0.0
@@ -104,32 +107,24 @@ def _poisson_times(rng: np.random.Generator, rate: float, horizon: float) -> np.
     return t[: np.searchsorted(t, horizon, side="right")]
 
 
-def _deliveries_lcfs_s(t, src, svc_rng, mu, horizon):
+def _deliveries_lcfs_s(t, svc_rng, mu, horizon):
     # every arrival enters service at once; it survives iff it finishes
-    # before the next arrival preempts it
-    svc = svc_rng.exponential(1.0 / mu, size=t.size)
-    if t.size == 0:
-        return t, t, src
-    nxt = np.empty_like(t)
-    nxt[:-1] = t[1:]
-    nxt[-1] = np.inf
-    done = t + svc
-    keep = (done <= nxt) & (done <= horizon)
-    return done[keep], t[keep], src[keep]
+    # before the next arrival preempts it (the horizon for the last one)
+    done = t + svc_rng.exponential(1.0 / mu, size=t.size)
+    who = np.flatnonzero(done <= np.append(t[1:], horizon))
+    return done[who], who
 
 
-def _deliveries_fcfs(t, src, svc_rng, mu, horizon):
+def _deliveries_fcfs(t, svc_rng, mu, horizon):
     svc = svc_rng.exponential(1.0 / mu, size=t.size)
-    if t.size == 0:
-        return t, t, src
     tot = np.cumsum(svc)
     # done_k = max over j<=k of (t_j + svc_j + ... + svc_k)
     done = tot + np.maximum.accumulate(t - (tot - svc))
-    keep = done <= horizon
-    return done[keep], t[keep], src[keep]
+    who = np.flatnonzero(done <= horizon)
+    return done[who], who
 
 
-def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
+def _deliveries_lcfs_w(t, svc_rng, mu, horizon):
     # The uniformized clock of the module docstring. Arrival k leaves the
     # server busy, with k waiting iff it found the server busy (w[k]). In the
     # gap to the next arrival (the horizon for the last one) tick 1 completes
@@ -139,14 +134,15 @@ def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
     # first-tick offsets from each arrival, e[n:] the second-tick offsets.
     n = t.size
     e = svc_rng.exponential(1.0 / mu, size=2 * n)
+    k = np.arange(n)
+    # the forward fill below needs one arrival
     if n == 0:
-        return t, t, src
+        return t, k
     end = np.append(t[1:], horizon)
     x1 = t + e[:n]
     x2 = x1 + e[n:]
     f1 = x1 <= end
     f2 = x2 <= end
-    k = np.arange(n)
     # w[k + 1] is True after a gap with no tick, False after two ticks and
     # w[k] after one: forward-fill from the last gap that fixed it
     fixed = np.concatenate(([True], ~f1[:-1] | f2[:-1]))
@@ -159,8 +155,7 @@ def _deliveries_lcfs_w(t, src, svc_rng, mu, horizon):
     first = np.where(w, np.concatenate(([0], started[:-1])), k)
     # deliveries in gap order: row k holds the first and second tick of gap k
     keep = np.stack((f1, f2 & w), axis=1)
-    who = np.stack((first, k), axis=1)[keep]
-    return np.stack((x1, x2), axis=1)[keep], t[who], src[who]
+    return np.stack((x1, x2), axis=1)[keep], np.stack((first, k), axis=1)[keep]
 
 
 _ENGINES = {
@@ -246,7 +241,8 @@ def simulate(params: SimParams) -> SimResult:
         s = np.repeat(np.arange(m, dtype=label_type), [x.size for x in times])
         order = np.argsort(t, kind="stable")
         t, s = t[order], s[order]
-        runs.append(engine(t, s, _stream(seed, m * n + j), cfg.service_rates[j], horizon))
+        done, who = engine(t, _stream(seed, m * n + j), cfg.service_rates[j], horizon)
+        runs.append((done, t[who], s[who]))
 
     dt, dg, dsrc = (np.concatenate(parts) for parts in zip(*runs))
     # a stable sort by source, then time: rows are source-major and in time
@@ -255,17 +251,17 @@ def simulate(params: SimParams) -> SimResult:
     cut = np.cumsum(np.bincount(dsrc, minlength=m))[:-1]
     per_source = zip(np.split(dt[order], cut), np.split(dg[order], cut))
 
-    aois, cis = [], []
-    deliveries = useful = 0
-    for t, g in per_source:
-        a, c, nd, nu = _integrate_source(t, g, warmup, horizon, params.batches)
-        aois.append(a)
-        cis.append(c)
-        deliveries += nd
-        useful += nu
+    # ages too large or too small for float squares come out inf, nan or 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [_integrate_source(t, g, warmup, horizon, params.batches) for t, g in per_source]
+    aois, cis, delivered, fresh = zip(*stats)
+    for i, a in enumerate(aois):
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"source {i} age {a!r} is not finite and > 0 at horizon {horizon:g}")
+    deliveries, useful = sum(delivered), sum(fresh)
     return SimResult(
-        aoi=tuple(aois),
-        ci_half_width=tuple(cis),
+        aoi=aois,
+        ci_half_width=cis,
         deliveries=deliveries,
         useful_deliveries=useful,
         discarded_stale=deliveries - useful,

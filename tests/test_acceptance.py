@@ -185,7 +185,7 @@ def test_chain_solver_matches_closed_forms():
                 rates = [lam_i, cut, others - cut]
             else:
                 rates = [lam_i, others]
-            sol = run(build_multi_source_homogeneous(n, len(rates), 0, rates, mu))
+            sol = run(build_multi_source_homogeneous(n, 0, rates, mu))
             assert rel(sol.aoi, formula(lam_i, lam, mu)) < 1e-9
 
     # one source, three distinct servers, against the independent layered form

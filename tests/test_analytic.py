@@ -77,7 +77,7 @@ def test_share_formulas_match_chain():
         other = lam - lam_i
         for n, formula in ((2, aoi_multi_source_n2), (3, aoi_multi_source_n3)):
             chain = solve_age(
-                build_multi_source_homogeneous(n, 2, 0, [lam_i, other], mu)
+                build_multi_source_homogeneous(n, 0, [lam_i, other], mu)
             ).aoi
             assert formula(lam_i, lam, mu) == pytest.approx(chain, rel=1e-10)
 

@@ -63,7 +63,7 @@ def test_multi_source_single_source_reduction():
     # with one source the two builders must emit identical transition sets
     for n in (1, 2, 4):
         a = build_single_source_homogeneous(n, 0.9, 1.2)
-        b = build_multi_source_homogeneous(n, 1, 0, [0.9], 1.2)
+        b = build_multi_source_homogeneous(n, 0, [0.9], 1.2)
         assert sorted(map(transition_key, a.transitions)) == sorted(
             map(transition_key, b.transitions)
         )
@@ -71,7 +71,7 @@ def test_multi_source_single_source_reduction():
 
 def test_multi_source_zero_others_reduction():
     # sources with zero rate contribute nothing, not even displacement moves
-    a = build_multi_source_homogeneous(2, 3, 1, [0.0, 0.8, 0.0], 1.0)
+    a = build_multi_source_homogeneous(2, 1, [0.0, 0.8, 0.0], 1.0)
     b = build_single_source_homogeneous(2, 0.8, 1.0)
     assert sorted(map(transition_key, a.transitions)) == sorted(
         map(transition_key, b.transitions)
@@ -79,14 +79,14 @@ def test_multi_source_zero_others_reduction():
 
 
 def test_multi_source_transition_count():
-    m = build_multi_source_homogeneous(3, 2, 0, [0.5, 0.7], 1.0)
+    m = build_multi_source_homogeneous(3, 0, [0.5, 0.7], 1.0)
     # n own arrivals + n displacements + n deliveries, all self-loops
     assert len(m.transitions) == 9
     assert all(t.source == t.target == 0 for t in m.transitions)
 
 
 def test_multi_source_displacement_reset():
-    m = build_multi_source_homogeneous(2, 2, 0, [0.5, 0.7], 1.0)
+    m = build_multi_source_homogeneous(2, 0, [0.5, 0.7], 1.0)
     disp = [t for t in m.transitions if t.rate == pytest.approx(0.7)]
     assert len(disp) == 2
     # other-source update bumps the occupant of the slot; a copy that would
@@ -157,7 +157,7 @@ def test_exchangeable_matches_the_per_slot_oracle(n, case, lam, mu):
     # at any index
     others, tracked = case
     rates = others[:tracked] + [lam] + others[tracked:]
-    got = build_multi_source_homogeneous(n, len(rates), tracked, rates, mu)
+    got = build_multi_source_homogeneous(n, tracked, rates, mu)
     want = exchangeable_oracle(n, tracked, rates, mu)
     assert (got.num_states, got.age_dim) == (want.num_states, want.age_dim)
     for field in ("source", "target", "rate", "take"):
@@ -200,25 +200,22 @@ def test_multi_source_balance_equations():
             lam_i = float(rng.uniform(0.1, 2.0))
             lam_bar = float(rng.uniform(0.0, 2.0))
             mu = float(rng.uniform(0.2, 2.0))
-            m = build_multi_source_homogeneous(
-                n, 2, 0, [lam_i, lam_bar], mu
-            )
+            m = build_multi_source_homogeneous(n, 0, [lam_i, lam_bar], mu)
             v = solve_age(m).v[0]
             for resid in reduced_age_equations(n, lam_i, lam_bar, mu, v):
                 assert abs(resid) < 1e-10
 
 
 def test_multi_source_validation():
-    with pytest.raises(ValueError, match="num_sources must equal"):
-        build_multi_source_homogeneous(2, 3, 0, [0.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="tracked"):
-        build_multi_source_homogeneous(2, 2, 2, [0.5, 0.5], 1.0)
+        build_multi_source_homogeneous(2, 2, [0.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="tracked source rate"):
-        build_multi_source_homogeneous(2, 2, 0, [0.0, 0.5], 1.0)
+        build_multi_source_homogeneous(2, 0, [0.0, 0.5], 1.0)
     with pytest.raises(ValueError, match=">= 0"):
-        build_multi_source_homogeneous(2, 2, 0, [0.5, -0.1], 1.0)
-    with pytest.raises(ValueError, match="at least one"):
-        build_multi_source_homogeneous(2, 0, 0, [], 1.0)
+        build_multi_source_homogeneous(2, 0, [0.5, -0.1], 1.0)
+    # with no rates, no index is in range
+    with pytest.raises(ValueError, match="tracked"):
+        build_multi_source_homogeneous(2, 0, [], 1.0)
 
 
 def test_hetero_two_server_transitions():

@@ -713,6 +713,48 @@ def test_main_simulate_out_of_memory_is_one_line(monkeypatch, tmp_config, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "rate, horizon, word",
+    [
+        pytest.param(2.0, "1e308", "horizon 1e+308 is not finite", id="horizon-overflow"),
+        pytest.param(1e308, "1e5", "arrival rate 1e+308 times", id="rate-overflow"),
+        pytest.param(2.0, "1e-300", "age 0.0 is not finite", id="sawtooth-underflow"),
+        pytest.param(1e-155, "1e160", "age nan is not finite", id="sawtooth-overflow"),
+    ],
+)
+def test_main_simulate_out_of_float_range_is_one_line(tmp_config, capsys, rate, horizon, word):
+    path = tmp_config(json.dumps(config_doc(n=1, rates=[[rate]])))
+    assert_one_line_exit_2(capsys, ["simulate", "--config", path, "--horizon", horizon], word)
+
+
+def test_main_sweep_out_of_float_range_is_an_error_row(tmp_config, tmp_path, capsys):
+    spec = sweep_doc(config=config_doc(n=1, rates=[[1.0]]), parameter="per-server-arrival",
+                     grid=[1.0, 1e308], engines=["sim"], horizon=1000.0)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--spec", tmp_config(spec, "spec.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    ok, overflow = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert ok[3] != "" and ok[5] == ""
+    assert overflow[3:] == ["", "", "arrival rate 1e+308 times horizon 1000 is not finite"]
+
+
+@pytest.mark.parametrize(
+    "n, lam, mu, word",
+    [
+        # the load lam / mu underflows to 0 and the closed form divides by it
+        (1, 1e-300, 1e300, "analytic: float division by zero"),
+        (3, 1e-300, 1e300, "analytic: float division by zero"),
+        # the closed form gives nan, and the chain's exit rates overflow
+        (2, 1e308, 1e-300, "analytic: average age nan is not finite and > 0; "
+                           "shs: exit rate inf is not finite"),
+    ],
+    ids=["one-server-zero-load", "three-servers-zero-load", "two-servers-overflow"],
+)
+def test_main_analytic_out_of_float_range_is_one_line(tmp_config, capsys, n, lam, mu, word):
+    doc = config_doc(n=n, rates=[[lam] * n], mus=[mu] * n)
+    assert_one_line_exit_2(capsys, ["analytic", "--config", tmp_config(json.dumps(doc))], word)
+
+
 def test_main_missing_file(capsys):
     assert main(["analytic", "--config", "/nonexistent/config.json"]) == 2
     assert "aoinet: error:" in capsys.readouterr().err

@@ -249,6 +249,27 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_infinite_exit_rate_is_non_ergodic():
+    # two arrival rates near the float maximum sum to an infinite exit rate
+    with pytest.raises(NonErgodicError, match="exit rate inf is not finite"):
+        stationary_distribution(build_single_source_homogeneous(2, 1e308, 1.0))
+
+
+@pytest.mark.parametrize(
+    "failing_call, word", [(1, "balance residual nan"), (2, "age system residual nan")]
+)
+def test_nan_residual_fails_the_check(monkeypatch, failing_call, word):
+    calls = []
+
+    def residual(*args):
+        calls.append(None)
+        return float("nan") if len(calls) == failing_call else 0.0
+
+    monkeypatch.setattr(shs, "_residual", residual)
+    with pytest.raises(NonErgodicError, match=word):
+        solve_age(build_single_source_homogeneous(2, 1.0, 1.0))
+
+
 def test_solve_age_known_value():
     model = build_single_source_homogeneous(2, 1.0, 1.0)
     sol = solve_age(model)

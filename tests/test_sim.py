@@ -14,6 +14,8 @@ from aoinet.sim import (
     _ENGINES,
     SimParams,
     SimResult,
+    _deliveries_fcfs,
+    _deliveries_lcfs_s,
     _deliveries_lcfs_w,
     _integrate_source,
     _poisson_times,
@@ -249,8 +251,9 @@ def test_fcfs_single_server_reference():
 
 
 class StubService:
-    """Clock draws in the lcfs-w layout: every gap's first-tick offset, then every
-    gap's second-tick offset; draws past the given ones are never reached."""
+    """Given service draws, in the kernel's layout: one per arrival for lcfs-s and
+    fcfs; for lcfs-w every gap's first-tick offset, then every gap's second-tick
+    offset. Draws past the given ones are never reached."""
 
     def __init__(self, *times):
         self.times = list(times)
@@ -278,14 +281,23 @@ class StubService:
 )
 def test_lcfs_w_deliveries_hand_cases(arrivals, services, horizon, delivered):
     t = np.array(arrivals, dtype=float)
-    src = np.arange(t.size)  # label each arrival by its index
-    done, gen, who = _deliveries_lcfs_w(t, src, StubService(*services), 1.0, horizon)
+    done, who = _deliveries_lcfs_w(t, StubService(*services), 1.0, horizon)
     expected_done = [d for d, _ in delivered]
     expected_gen = [g for _, g in delivered]
     np.testing.assert_array_equal(done, np.array(expected_done, dtype=float))
-    np.testing.assert_array_equal(gen, np.array(expected_gen, dtype=float))
+    np.testing.assert_array_equal(t[who], np.array(expected_gen, dtype=float))
     np.testing.assert_array_equal(who, np.searchsorted(t, expected_gen))
-    assert done.dtype == gen.dtype == np.float64 and who.dtype.kind == "i"
+    assert done.dtype == np.float64 and who.dtype.kind == "i"
+
+
+def assert_kernel_matches(kernel, t, draws, horizon, expected):
+    """Check the kernel's (done, who) on arrivals t against the event loop's
+    (delivery time, arrival index) pairs, and return it."""
+    done, who = kernel(t, StubService(*draws), 1.0, horizon)
+    assert done.tolist() == [d for d, _ in expected]
+    assert who.tolist() == [k for _, k in expected]
+    assert done.dtype == np.float64 and who.dtype.kind == "i"
+    return done, who
 
 
 def lcfs_w_event_loop(t, draws, horizon):
@@ -320,19 +332,63 @@ _half = st.integers(0, 8).map(lambda k: 0.5 * k)
 @example(gaps=[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5)], tail=1.0)  # repeated times
 @example(gaps=[(0.0, 1.0, 9.0), (1.0, 1.0, 0.5), (0.5, 2.0, 0.5)], tail=2.0)  # tick on arrival
 @example(gaps=[(1.0, 9.0, 9.0), (2.0, 0.0, 0.0)], tail=0.0)  # arrival at the horizon
+@example(gaps=[], tail=0.0)  # no arrivals
 def test_lcfs_w_kernel_matches_event_loop(gaps, tail):
     t = np.cumsum([g for g, _, _ in gaps], dtype=float)
     draws = [d for _, d, _ in gaps] + [d for _, _, d in gaps]
     horizon = float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
-    src = np.arange(t.size)
-    done, gen, who = _deliveries_lcfs_w(t, src, StubService(*draws), 1.0, horizon)
     expected = lcfs_w_event_loop(t.tolist(), draws, horizon)
-    assert done.tolist() == [d for d, _ in expected]
-    assert who.tolist() == [k for _, k in expected]
-    np.testing.assert_array_equal(gen, t[who])
+    done, who = assert_kernel_matches(_deliveries_lcfs_w, t, draws, horizon, expected)
     assert np.all(np.diff(done) >= 0)
     assert np.unique(who).size == who.size
-    assert np.all((gen <= done) & (done <= horizon))
+    assert np.all((t[who] <= done) & (done <= horizon))
+
+
+def lcfs_s_event_loop(t, draws, horizon):
+    """(delivery time, arrival index) pairs of a preemptive server, one event at a
+    time: each arrival preempts the update in service, and a completion at the
+    instant of an arrival comes first."""
+    out = []
+    serving = finish = None
+    for k, arrival in enumerate(t):
+        if serving is not None and finish <= arrival:
+            out.append((finish, serving))
+        serving, finish = k, arrival + draws[k]
+    if serving is not None and finish <= horizon:
+        out.append((finish, serving))
+    return out
+
+
+def fcfs_event_loop(t, draws, horizon):
+    """(delivery time, arrival index) pairs of a first-come-first-served server:
+    each arrival starts service once it and every earlier arrival are in."""
+    out = []
+    free = -math.inf
+    for k, arrival in enumerate(t):
+        free = max(arrival, free) + draws[k]
+        if free <= horizon:
+            out.append((free, k))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kernel, event_loop",
+    [(_deliveries_lcfs_s, lcfs_s_event_loop), (_deliveries_fcfs, fcfs_event_loop)],
+    ids=["lcfs-s", "fcfs"],
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gaps=st.lists(st.tuples(_half, _half), max_size=10), tail=_half)
+@example(gaps=[], tail=0.0)  # no arrivals
+@example(gaps=[(0.0, 1.0), (0.0, 1.0), (1.0, 0.5)], tail=1.0)  # repeated times
+@example(gaps=[(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)], tail=0.5)  # completion on an arrival
+@example(gaps=[(1.0, 2.0)], tail=2.0)  # completion at the horizon
+def test_one_draw_kernels_match_event_loop(kernel, event_loop, gaps, tail):
+    # (gap to the previous arrival, service draw) per arrival
+    t = np.cumsum([g for g, _ in gaps], dtype=float)
+    draws = [d for _, d in gaps]
+    horizon = float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
+    expected = event_loop(t.tolist(), draws, horizon)
+    assert_kernel_matches(kernel, t, draws, horizon, expected)
 
 
 def lcfs_w_reference_model(lam, mu):
@@ -408,10 +464,11 @@ def mask_split_simulate(params):
         t = np.concatenate(times)
         s = np.repeat(np.arange(m), [x.size for x in times])
         order = np.argsort(t, kind="stable")
-        d, g, who = engine(t[order], s[order], _stream(seed, m * n + j), config.service_rates[j], horizon)
+        t, s = t[order], s[order]
+        d, who = engine(t, _stream(seed, m * n + j), config.service_rates[j], horizon)
         dt.append(d)
-        dg.append(g)
-        ds.append(who)
+        dg.append(t[who])
+        ds.append(s[who])
     dt, dg, ds = np.concatenate(dt), np.concatenate(dg), np.concatenate(ds)
     order = np.argsort(dt, kind="stable")
     dt, dg, ds = dt[order], dg[order], ds[order]
