@@ -23,7 +23,6 @@ from .model import (
     classify,
     dump_config,
     load_config,
-    validate,
 )
 from .optimize import (
     SplitResult,
@@ -75,5 +74,4 @@ __all__ = [
     "simulate",
     "solve_age",
     "stationary_distribution",
-    "validate",
 ]

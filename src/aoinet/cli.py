@@ -215,6 +215,9 @@ def load_sweep_spec(text: str) -> SweepSpec:
         or not all(is_number(v) for v in grid)
     ):
         raise ConfigError("sweep grid must be a non-empty list of numbers")
+    # NaN would pass the order check below: every comparison with it is false
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError("sweep grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep grid must be strictly increasing")
     engines = sw.get("engines")

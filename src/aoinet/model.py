@@ -30,18 +30,23 @@ class HomogeneityClass(Enum):
 
 
 class ConfigError(ValueError):
-    """Raised when a config document cannot be parsed or fails validation."""
+    """Raised when a config document cannot be parsed or describes no valid network."""
 
 
 _FIELDS = ("sources", "servers", "arrival_rates", "service_rates", "discipline")
+# the types a rate list or a row of arrival rates may have
+_SEQUENCE = (list, tuple)
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Immutable network description.
+    """Immutable network description, checked on every construction.
 
     arrival_rates[i][j] is the rate of source i's Poisson process into server j;
-    service_rates[j] is server j's exponential service rate.
+    service_rates[j] is server j's exponential service rate. A malformed config
+    raises ConfigError, so every NetworkConfig that exists is usable by some
+    engine. FCFS stability is not checked here: it depends on the discipline,
+    which a sweep sets per point, and `simulate` checks it.
     """
 
     sources: int
@@ -51,58 +56,62 @@ class NetworkConfig:
     discipline: QueueDiscipline = QueueDiscipline.LCFS_S
 
     def __post_init__(self) -> None:
+        for name in ("sources", "servers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"field '{name}' must be an integer")
+        if not isinstance(self.arrival_rates, _SEQUENCE) or not all(
+            isinstance(row, _SEQUENCE) and all(is_number(r) for r in row)
+            for row in self.arrival_rates
+        ):
+            raise ConfigError("field 'arrival_rates' must be a list of lists of numbers")
+        if not isinstance(self.service_rates, _SEQUENCE) or not all(
+            is_number(r) for r in self.service_rates
+        ):
+            raise ConfigError("field 'service_rates' must be a list of numbers")
+        try:
+            discipline = QueueDiscipline(self.discipline)
+        except ValueError:
+            raise ConfigError(
+                f"field 'discipline' must be one of "
+                f"{', '.join(repr(d.value) for d in QueueDiscipline)}"
+            ) from None
+
         # normalize nested sequences / raw strings so configs hash and compare cleanly
-        object.__setattr__(
-            self,
-            "arrival_rates",
-            tuple(tuple(float(r) for r in row) for row in self.arrival_rates),
-        )
-        object.__setattr__(
-            self, "service_rates", tuple(float(r) for r in self.service_rates)
-        )
-        if not isinstance(self.discipline, QueueDiscipline):
-            object.__setattr__(self, "discipline", QueueDiscipline(self.discipline))
+        rows = tuple(tuple(float(r) for r in row) for row in self.arrival_rates)
+        mus = tuple(float(r) for r in self.service_rates)
+        object.__setattr__(self, "arrival_rates", rows)
+        object.__setattr__(self, "service_rates", mus)
+        object.__setattr__(self, "discipline", discipline)
+
+        problems: list[str] = []
+        if self.sources < 1:
+            problems.append("sources must be a positive integer")
+        if self.servers < 1:
+            problems.append("servers must be a positive integer")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        if len(rows) != self.sources:
+            problems.append(f"arrival_rates has {len(rows)} rows, expected {self.sources}")
+        for i, row in enumerate(rows):
+            if len(row) != self.servers:
+                problems.append(
+                    f"arrival_rates[{i}] has {len(row)} entries, expected {self.servers}"
+                )
+            elif any(not math.isfinite(r) or r < 0 for r in row):
+                problems.append(f"arrival_rates[{i}] entries must be finite and >= 0")
+            elif sum(row) <= 0:
+                problems.append(f"arrival_rates[{i}] must have a positive sum")
+        if len(mus) != self.servers:
+            problems.append(f"service_rates has {len(mus)} entries, expected {self.servers}")
+        elif any(not math.isfinite(r) or r <= 0 for r in mus):
+            problems.append("service_rates entries must be finite and > 0")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def source_total(self, i: int) -> float:
         """Total arrival rate of source i summed over servers."""
         return sum(self.arrival_rates[i])
-
-
-def validate(config: NetworkConfig) -> list[str]:
-    """Check structural soundness; returns a list of violations, empty if valid.
-
-    Valid means usable by at least one engine; discipline-specific limits
-    (e.g. FCFS stability) are checked where they matter, not here.
-    """
-    problems: list[str] = []
-    if not isinstance(config.sources, int) or config.sources < 1:
-        problems.append("sources must be a positive integer")
-    if not isinstance(config.servers, int) or config.servers < 1:
-        problems.append("servers must be a positive integer")
-    if problems:
-        return problems
-
-    if len(config.arrival_rates) != config.sources:
-        problems.append(
-            f"arrival_rates has {len(config.arrival_rates)} rows, expected {config.sources}"
-        )
-    for i, row in enumerate(config.arrival_rates):
-        if len(row) != config.servers:
-            problems.append(
-                f"arrival_rates[{i}] has {len(row)} entries, expected {config.servers}"
-            )
-            continue
-        if any(not math.isfinite(r) or r < 0 for r in row):
-            problems.append(f"arrival_rates[{i}] entries must be finite and >= 0")
-        elif sum(row) <= 0:
-            problems.append(f"arrival_rates[{i}] must have a positive sum")
-    if len(config.service_rates) != config.servers:
-        problems.append(
-            f"service_rates has {len(config.service_rates)} entries, expected {config.servers}"
-        )
-    elif any(not math.isfinite(r) or r <= 0 for r in config.service_rates):
-        problems.append("service_rates entries must be finite and > 0")
-    return problems
 
 
 def classify(config: NetworkConfig) -> HomogeneityClass:
@@ -173,7 +182,7 @@ def positive_rate(name: str, value: float) -> float:
 
 
 def load_config(text: str) -> NetworkConfig:
-    """Parse a JSON config document and validate it.
+    """Parse a JSON config document into a NetworkConfig.
 
     Raises ConfigError with line/field context on malformed documents.
     """
@@ -186,38 +195,7 @@ def load_config(text: str) -> NetworkConfig:
     missing = [f for f in _FIELDS if f not in doc]
     if missing:
         raise ConfigError(f"missing field(s): {', '.join(missing)}")
-
-    for name in ("sources", "servers"):
-        if isinstance(doc[name], bool) or not isinstance(doc[name], int):
-            raise ConfigError(f"field '{name}' must be an integer")
-    if not isinstance(doc["arrival_rates"], list) or not all(
-        isinstance(row, list) and all(is_number(r) for r in row)
-        for row in doc["arrival_rates"]
-    ):
-        raise ConfigError("field 'arrival_rates' must be a list of lists of numbers")
-    if not isinstance(doc["service_rates"], list) or not all(
-        is_number(r) for r in doc["service_rates"]
-    ):
-        raise ConfigError("field 'service_rates' must be a list of numbers")
-    try:
-        discipline = QueueDiscipline(doc["discipline"])
-    except ValueError:
-        raise ConfigError(
-            f"field 'discipline' must be one of "
-            f"{', '.join(repr(d.value) for d in QueueDiscipline)}"
-        ) from None
-
-    config = NetworkConfig(
-        sources=doc["sources"],
-        servers=doc["servers"],
-        arrival_rates=doc["arrival_rates"],
-        service_rates=doc["service_rates"],
-        discipline=discipline,
-    )
-    problems = validate(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return config
+    return NetworkConfig(**doc)
 
 
 def dump_config(config: NetworkConfig) -> str:

@@ -1,6 +1,7 @@
 """CLI surface: engine routing, sweep specs, artifacts, exit codes."""
 import collections
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -608,6 +609,38 @@ def test_main_sweep_rejects_out_of_range_run_fields(tmp_path, capsys, fields, wo
     assert_one_line_exit_2(capsys, ["sweep", "--spec", str(path)], word)
 
 
+# a base config each parameter applies to, so a grid point that got through
+# would be evaluated
+GRID_BASES = {
+    "servers": config_doc(),
+    "per-server-arrival": config_doc(),
+    "total-arrival": config_doc(),
+    "tracked-source-rate": config_doc(m=2, rates=[[0.5, 0.5], [0.5, 0.5]]),
+    "mu1-share": config_doc(mus=[1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf], [-math.inf, 1.0]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("parameter", list(GRID_BASES))
+def test_main_sweep_rejects_non_finite_grid(tmp_path, capsys, parameter, grid):
+    # NaN passes the strictly-increasing check, since every comparison with it is false
+    path = tmp_path / "spec.json"
+    path.write_text(sweep_doc(config=GRID_BASES[parameter], parameter=parameter, grid=grid,
+                              engines=["analytic", "shs"]))
+    assert main(["sweep", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "aoinet: error: sweep grid values must be finite\n"
+
+
+def test_main_sweep_nan_grid_matches_golden(capsys):
+    assert main(["sweep", "--spec", str(DATA / "sweep_nan_grid.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode("utf-8") == (DATA / "sweep_nan_grid.err").read_bytes()
+
+
 @pytest.mark.parametrize(
     "value, word",
     [("-1", "horizon"), ("0", "horizon"), ("nan", "horizon"), ("inf", "horizon"),
@@ -725,6 +758,32 @@ def test_main_simulate_out_of_memory_is_one_line(monkeypatch, tmp_config, capsys
 def test_main_simulate_out_of_float_range_is_one_line(tmp_config, capsys, rate, horizon, word):
     path = tmp_config(json.dumps(config_doc(n=1, rates=[[rate]])))
     assert_one_line_exit_2(capsys, ["simulate", "--config", path, "--horizon", horizon], word)
+
+
+# numpy cannot draw these: 2e300 arrivals exceed its largest array, and 2e17
+# exceed memory; either fails at once, without allocating
+@pytest.mark.parametrize("horizon", ["1e300", "1e17"])
+def test_main_simulate_too_many_arrivals_is_one_line(tmp_config, capsys, horizon):
+    path = tmp_config(json.dumps(config_doc(n=1, rates=[[2.0]])))
+    assert main(["simulate", "--config", path, "--horizon", horizon]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"aoinet: error: arrival rate 2 times horizon {float(horizon):g} expects "
+        f"too many arrivals to draw ({2 * float(horizon):.3g})\n"
+    )
+
+
+@pytest.mark.parametrize("horizon", [1e300, 1e17])
+def test_main_sweep_too_many_arrivals_is_an_error_row(tmp_config, tmp_path, capsys, horizon):
+    spec = sweep_doc(config=config_doc(n=1, rates=[[1.0]]), parameter="per-server-arrival",
+                     grid=[2.0], engines=["sim"], horizon=horizon)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--spec", tmp_config(spec, "spec.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    (row,) = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert row[3:] == ["", "", f"arrival rate 2 times horizon {horizon:g} expects "
+                               f"too many arrivals to draw ({2 * horizon:.3g})"]
 
 
 def test_main_sweep_out_of_float_range_is_an_error_row(tmp_config, tmp_path, capsys):
