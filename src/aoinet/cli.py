@@ -8,10 +8,14 @@ Every engine value, in `analytic` and in sweeps, comes per source from one
 function, `evaluate`; both exact engines share one preamble, `_exact_route`.
 Engines are looked up as module globals at call time, so rebinding a name
 here (as the benchmark's tracer does) intercepts every call to it.
+
+`main` builds its argument parser once per process, on its first call, and
+every later call parses with that one parser.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -59,6 +63,9 @@ _SWEEP_PARAMETERS = (
 )
 _ENGINE_NAMES = ("analytic", "shs", "sim")
 _RECIPES = ("fig4", "fig5", "fig6")
+# the most servers a servers-sweep point may have; at this count the
+# exchangeable chain alone needs about 11.5 GB (115 n^2 bytes)
+_MAX_SWEEP_SERVERS = 10_000
 CSV_HEADER = "param,engine,source,aoi,ci_half_width,error"
 
 
@@ -256,8 +263,14 @@ def load_sweep_spec(text: str) -> SweepSpec:
         ),
         replications=number("replications", 1, integer=True),
     )
-    if parameter == "servers" and any(v != int(v) or v < 1 for v in spec.grid):
-        raise ConfigError("servers grid values must be positive integers")
+    if parameter == "servers":
+        if any(v != int(v) or v < 1 for v in spec.grid):
+            raise ConfigError("servers grid values must be positive integers")
+        if spec.grid[-1] > _MAX_SWEEP_SERVERS:
+            raise ConfigError(
+                f"servers grid value {_fmt(spec.grid[-1])} is above the limit of "
+                f"{_MAX_SWEEP_SERVERS} servers"
+            )
     return spec
 
 
@@ -313,7 +326,10 @@ def _max_workers(points: int) -> int:
     cap = len(affinity(0)) if affinity else os.cpu_count() or 1
     env = os.environ.get("AOI_THREADS")
     if env is not None:
-        cap = max(1, int(env))
+        try:
+            cap = max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"AOI_THREADS must be an integer, not {env!r}") from None
     return max(1, min(points, cap))
 
 
@@ -541,7 +557,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     raise ConfigError("optimize needs --spec or --kind")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser, built on first use and shared by every later call.
+
+    It keeps no per-call state: `parse_args` returns a fresh namespace, and no
+    default is mutable.
+    """
     p = argparse.ArgumentParser(
         prog="aoinet",
         description="Average age of information for multi-source multi-server update networks",
@@ -592,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError, ArithmeticError, MemoryError) as e:

@@ -1,5 +1,7 @@
 """CLI surface: engine routing, sweep specs, artifacts, exit codes."""
+import argparse
 import collections
+import functools
 import json
 import math
 from pathlib import Path
@@ -319,6 +321,10 @@ def test_thread_count_override(monkeypatch):
     assert _max_workers(10) == 1
     monkeypatch.setenv("AOI_THREADS", "8")
     assert _max_workers(3) == 3
+    # zero and below mean one thread
+    for value in ("0", "-3"):
+        monkeypatch.setenv("AOI_THREADS", value)
+        assert _max_workers(10) == 1
     monkeypatch.delenv("AOI_THREADS")
     assert _max_workers(2) >= 1
 
@@ -332,6 +338,15 @@ def test_thread_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     # where the platform has no affinity call, the CPU count
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     assert _max_workers(10) == 8
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_main_sweep_rejects_a_non_integer_thread_count(monkeypatch, capsys, value):
+    monkeypatch.setenv("AOI_THREADS", value)
+    assert main(["sweep", "--spec", "fig4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"aoinet: error: AOI_THREADS must be an integer, not {value!r}\n"
 
 
 def test_sweep_deterministic_across_thread_counts(monkeypatch):
@@ -641,6 +656,30 @@ def test_main_sweep_nan_grid_matches_golden(capsys):
     assert err.encode("utf-8") == (DATA / "sweep_nan_grid.err").read_bytes()
 
 
+def test_main_sweep_huge_servers_matches_golden(capsys):
+    assert main(["sweep", "--spec", str(DATA / "sweep_huge_servers.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode("utf-8") == (DATA / "sweep_huge_servers.err").read_bytes()
+
+
+@pytest.mark.parametrize("value", [10_001, 1e9])
+def test_main_sweep_refuses_too_many_servers(monkeypatch, tmp_path, capsys, value):
+    assert load_sweep_spec(
+        sweep_doc(parameter="servers", grid=[1, 10_000], engines=["analytic"])
+    ).grid[-1] == 10_000
+    # the spec check refuses the grid before any point is built
+    monkeypatch.setattr(cli, "apply_parameter", None)
+    path = tmp_path / "spec.json"
+    path.write_text(sweep_doc(parameter="servers", grid=[2, value], engines=["analytic", "shs"]))
+    assert main(["sweep", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"aoinet: error: servers grid value {int(value)} is above the limit of 10000 servers\n"
+    )
+
+
 @pytest.mark.parametrize(
     "value, word",
     [("-1", "horizon"), ("0", "horizon"), ("nan", "horizon"), ("inf", "horizon"),
@@ -671,32 +710,35 @@ def test_main_optimize_recipe(tmp_path):
         assert float(line.split(",")[-1]) < 1e-5
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["sweep", "--spec", "fig4"], "sweep_fig4.csv"),
-        (["optimize", "--spec", "fig5"], "optimize_fig5.csv"),
-        (
-            ["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30",
-             "--mu2", "70", "--format", "json"],
-            "optimize_hetero_n2.json",
-        ),
-    ],
-)
+OUTPUT_GOLDENS = [
+    (["sweep", "--spec", "fig4"], "sweep_fig4.csv"),
+    (["optimize", "--spec", "fig5"], "optimize_fig5.csv"),
+    (
+        ["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30",
+         "--mu2", "70", "--format", "json"],
+        "optimize_hetero_n2.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, golden", OUTPUT_GOLDENS)
 def test_main_output_matches_golden(capsys, argv, golden):
     # closed forms and small chain solves only, so the bytes hold across machines
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
+def simulate_golden_argv(discipline):
+    config = DATA / f"simulate_3x3_{discipline}.config.json"
+    return ["simulate", "--config", str(config), "--horizon", "20000", "--seed", "7",
+            "--replications", "3", "--format", "json"]
+
+
 @pytest.mark.parametrize("discipline", ["lcfs-s", "lcfs-w", "fcfs"])
 def test_main_simulate_matches_golden(capsys, discipline):
     # three sources on three distinct servers; the bytes pin the simulator's
     # random streams, kernels and integration
-    config = DATA / f"simulate_3x3_{discipline}.config.json"
-    argv = ["simulate", "--config", str(config), "--horizon", "20000", "--seed", "7",
-            "--replications", "3", "--format", "json"]
-    assert main(argv) == 0
+    assert main(simulate_golden_argv(discipline)) == 0
     golden = DATA / f"simulate_3x3_{discipline}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
@@ -890,3 +932,89 @@ def test_traced_names_are_looked_up_at_call_time(monkeypatch, tmp_config, capsys
                  "--mu2", "70"]) == 0
     capsys.readouterr()
     assert [key for key in keys if not calls[key]] == []
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_config, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # argparse names its own class inside __init__, so count there, not by subclassing
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # an empty cache, as in a fresh process
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    config = str(DATA / "analytic_1x2_distinct.config.json")
+    calls = [
+        ["analytic", "--config", config],
+        ["simulate", "--config", tmp_config(json.dumps(config_doc())), "--horizon", "2000"],
+        ["sweep", "--spec", "fig4"],
+        ["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30", "--mu2", "70"],
+    ]
+    assert main(calls[0]) == 0
+    assert built  # the parser and its subparsers
+    first = list(built)
+    for _ in range(3):
+        for argv in calls:
+            assert main(argv) == 0
+    capsys.readouterr()
+    assert built == first
+
+
+def golden_runs():
+    """(argv, exit code, golden file) for every golden under tests/data.
+
+    A run that exits 0 writes its golden on stdout; one that exits 2, on stderr.
+    """
+    runs = [(argv, 0, golden) for argv, golden in OUTPUT_GOLDENS]
+    runs += [(["sweep", "--spec", "fig6"], 0, "sweep_fig6.csv")]
+    runs += [
+        (["sweep", "--spec", str(DATA / f"sweep_{case}.json")], 2, f"sweep_{case}.err")
+        for case in ("nan_grid", "huge_servers")
+    ]
+    runs += [
+        (simulate_golden_argv(d), 0, f"simulate_3x3_{d}.json")
+        for d in ("lcfs-s", "lcfs-w", "fcfs")
+    ]
+    runs += [
+        (["analytic", "--config", str(DATA / f"analytic_{case}.config.json"), "--format", fmt],
+         code, f"analytic_{case}.{ext if code == 0 else 'err'}")
+        for case, code in ANALYTIC_GOLDENS
+        for fmt, ext in (("text", "txt"), ("json", "json"))
+    ]
+    return runs
+
+
+def test_usage_errors_leave_the_shared_parser_intact(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analytic"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].splitlines()[-1] == (
+        "aoinet analytic: error: the following arguments are required: --config"
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["no-such-command"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
+    runs = golden_runs()
+    inputs = [*DATA.glob("*.config.json"), *DATA.glob("sweep_*.json")]
+    assert {golden for _, _, golden in runs} == {p.name for p in set(DATA.iterdir()) - set(inputs)}
+    for argv, code, golden in runs:
+        assert main(argv) == code, argv
+        out, err = capsys.readouterr()
+        written, other = (out, err) if code == 0 else (err, out)
+        assert other == ""
+        assert written.encode("utf-8") == (DATA / golden).read_bytes(), golden
