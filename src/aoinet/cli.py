@@ -4,6 +4,9 @@ Artifacts are machine-readable: sweeps emit CSV with the fixed schema
 (param,engine,source,aoi,ci_half_width,error) and floats at 12 significant
 digits, so identical spec + seed reproduces identical bytes.
 
+A sweep spec is checked whole when it is loaded: `load_sweep_spec` builds
+every grid point's config, so a sweep run can fail only in an engine.
+
 Every engine value, in `analytic` and in sweeps, comes per source from one
 function, `evaluate`; both exact engines share one preamble, `_exact_route`.
 Engines are looked up as module globals at call time, so rebinding a name
@@ -49,6 +52,7 @@ from .model import (
     is_number,
     load_config,
     parse_json,
+    reject_unknown_fields,
 )
 from .optimize import grid_minimize, optimal_hetero_split_n2, optimal_weighted_split
 from .shs import solve_age
@@ -61,6 +65,11 @@ _SWEEP_PARAMETERS = (
     "tracked-source-rate",
     "mu1-share",
 )
+_SWEEP_FIELDS = (
+    "parameter", "grid", "engines", "disciplines", "horizon", "warmup", "seed", "batches",
+    "replications",
+)
+_OPTIMIZE_FIELDS = ("kind", "total_arrival", "service_total", "mu1_grid")
 _ENGINE_NAMES = ("analytic", "shs", "sim")
 _RECIPES = ("fig4", "fig5", "fig6")
 # the most servers a servers-sweep point may have; at this count the
@@ -178,19 +187,17 @@ class SweepRow:
 class SweepSpec:
     """A declarative sweep: one parameter, one grid, one or more engines.
 
-    `run` holds the base config and the simulation run fields.
+    `run` holds the base config and the simulation run fields; `points` holds
+    each grid value's config, in grid order. `load_sweep_spec` checks it all.
     """
 
     parameter: str
     grid: tuple[float, ...]
+    points: tuple[NetworkConfig, ...]
     engines: tuple[str, ...]
     disciplines: tuple[QueueDiscipline, ...]
     run: SimParams
     replications: int = 1
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ConfigError("sweep 'replications' must be >= 1")
 
 
 @dataclass
@@ -206,10 +213,12 @@ def load_sweep_spec(text: str) -> SweepSpec:
     doc = parse_json(text)
     if not isinstance(doc, dict) or "config" not in doc or "sweep" not in doc:
         raise ConfigError("sweep spec must be an object with 'config' and 'sweep'")
+    reject_unknown_fields(doc, ("config", "sweep"), " in sweep spec")
     config = load_config(json.dumps(doc["config"]))
     sw = doc["sweep"]
     if not isinstance(sw, dict):
         raise ConfigError("'sweep' must be an object")
+    reject_unknown_fields(sw, _SWEEP_FIELDS, " in 'sweep'")
     parameter = sw.get("parameter")
     if parameter not in _SWEEP_PARAMETERS:
         raise ConfigError(
@@ -249,33 +258,38 @@ def load_sweep_spec(text: str) -> SweepSpec:
             raise ConfigError(f"sweep '{key}' must be {kind}")
         return value if integer else float(value)
 
-    spec = SweepSpec(
-        parameter=parameter,
-        grid=tuple(float(v) for v in grid),
-        engines=tuple(engines),
-        disciplines=disciplines,
-        run=SimParams(
-            config=config,
-            horizon=number("horizon", 1e5),
-            warmup=None if sw.get("warmup") is None else number("warmup", None),
-            seed=number("seed", 0, integer=True),
-            batches=number("batches", 32, integer=True),
-        ),
-        replications=number("replications", 1, integer=True),
+    run = SimParams(
+        config=config,
+        horizon=number("horizon", 1e5),
+        warmup=None if sw.get("warmup") is None else number("warmup", None),
+        seed=number("seed", 0, integer=True),
+        batches=number("batches", 32, integer=True),
     )
+    replications = number("replications", 1, integer=True)
+    if replications < 1:
+        raise ConfigError("sweep 'replications' must be >= 1")
+    grid = tuple(float(v) for v in grid)
     if parameter == "servers":
-        if any(v != int(v) or v < 1 for v in spec.grid):
+        if any(v != int(v) or v < 1 for v in grid):
             raise ConfigError("servers grid values must be positive integers")
-        if spec.grid[-1] > _MAX_SWEEP_SERVERS:
+        if grid[-1] > _MAX_SWEEP_SERVERS:
             raise ConfigError(
-                f"servers grid value {_fmt(spec.grid[-1])} is above the limit of "
+                f"servers grid value {_fmt(grid[-1])} is above the limit of "
                 f"{_MAX_SWEEP_SERVERS} servers"
             )
-    return spec
+    points = []
+    for value in grid:
+        try:
+            points.append(apply_parameter(config, parameter, value))
+        except ConfigError as e:
+            raise ConfigError(f"sweep grid value {_fmt(value)}: {e}") from None
+    return SweepSpec(
+        parameter, grid, tuple(points), tuple(engines), disciplines, run, replications
+    )
 
 
 def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
-    """Materialize one grid point as a concrete config."""
+    """One grid point as a concrete config; ConfigError where the parameter cannot apply."""
     n = config.servers
     if parameter == "servers":
         cls = classify(config)
@@ -283,7 +297,7 @@ def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> Netw
             HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE,
             HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE,
         ):
-            raise EngineError(
+            raise ConfigError(
                 "the servers sweep holds per-source totals fixed and needs an "
                 "exchangeable-server base config"
             )
@@ -294,30 +308,27 @@ def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> Netw
         )
     if parameter in ("per-server-arrival", "total-arrival"):
         if config.sources != 1:
-            raise EngineError(f"{parameter} sweeps need a single-source config")
+            raise ConfigError(f"{parameter} sweeps need a single-source config")
         if value <= 0:
-            raise EngineError(f"{parameter} values must be > 0")
+            raise ConfigError(f"{parameter} values must be > 0")
         per_server = value if parameter == "per-server-arrival" else value / n
         return replace(config, arrival_rates=((per_server,) * n,))
     if parameter == "tracked-source-rate":
         if classify(config) is not HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE:
-            raise EngineError(
+            raise ConfigError(
                 "tracked-source-rate sweeps need an exchangeable-server multi-source config"
             )
         if value <= 0:
-            raise EngineError("tracked-source-rate values must be > 0")
+            raise ConfigError("tracked-source-rate values must be > 0")
         rows = [(value,) * n] + [config.arrival_rates[i] for i in range(1, config.sources)]
         return replace(config, arrival_rates=tuple(rows))
-    if parameter == "mu1-share":
-        if config.servers != 2:
-            raise EngineError("mu1-share sweeps need a two-server config")
-        total = sum(config.service_rates)
-        if not (0 < value < total):
-            raise EngineError(
-                f"mu1-share values must lie strictly between 0 and {total:g}"
-            )
-        return replace(config, service_rates=(value, total - value))
-    raise EngineError(f"unknown sweep parameter '{parameter}'")
+    # mu1-share
+    if config.servers != 2:
+        raise ConfigError("mu1-share sweeps need a two-server config")
+    total = sum(config.service_rates)
+    if not (0 < value < total):
+        raise ConfigError(f"mu1-share values must lie strictly between 0 and {total:g}")
+    return replace(config, service_rates=(value, total - value))
 
 
 def _max_workers(points: int) -> int:
@@ -339,19 +350,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for engine in spec.engines:
         labels += [f"sim:{d.value}" for d in spec.disciplines] if engine == "sim" else [engine]
 
-    def point_rows(value: float) -> list[SweepRow]:
-        try:
-            cfg = apply_parameter(spec.run.config, spec.parameter, value)
-        except _ENGINE_FAILURES as e:
-            return [SweepRow(value, label, 0, None, None, _message(e)) for label in labels]
+    def point_rows(value: float, config: NetworkConfig) -> list[SweepRow]:
         return [
             SweepRow(value, label, i, *found)
             for label in labels
-            for i, found in enumerate(evaluate(label, cfg, spec.run, spec.replications))
+            for i, found in enumerate(evaluate(label, config, spec.run, spec.replications))
         ]
 
     with ThreadPoolExecutor(max_workers=_max_workers(len(spec.grid))) as ex:
-        per_point = list(ex.map(point_rows, spec.grid))
+        per_point = list(ex.map(point_rows, spec.grid, spec.points))
     return SweepResult(
         rows=[row for rows in per_point for row in rows],
         seed=spec.run.seed,
@@ -475,6 +482,8 @@ def load_optimize_spec(text: str) -> tuple[float, float, tuple[float, ...]]:
     opt = doc.get("optimize") if isinstance(doc, dict) else None
     if not isinstance(opt, dict) or opt.get("kind") != "hetero-n2":
         raise ConfigError("optimize spec must contain {'optimize': {'kind': 'hetero-n2', ...}}")
+    reject_unknown_fields(doc, ("optimize",), " in optimize spec")
+    reject_unknown_fields(opt, _OPTIMIZE_FIELDS, " in 'optimize'")
 
     def positive(key: str) -> float:
         value = opt.get(key)
@@ -532,7 +541,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.kind == "weighted":
         if args.weights is None or args.total is None or args.mu is None:
             raise ConfigError("weighted optimize needs --weights, --total and --mu")
-        weights = [float(w) for w in args.weights.split(",")]
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--weights must be comma-separated numbers, not {args.weights!r}"
+            ) from None
         split = optimal_weighted_split(weights, args.total, args.mu)
         delta = None
         if len(weights) == 2:

@@ -181,6 +181,13 @@ def positive_rate(name: str, value: float) -> float:
     return value
 
 
+def reject_unknown_fields(doc: dict, known: tuple[str, ...], where: str = "") -> None:
+    """ConfigError "unknown field(s)<where>: a, b" if `doc` has keys outside `known`."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown field(s){where}: {', '.join(sorted(unknown))}")
+
+
 def load_config(text: str) -> NetworkConfig:
     """Parse a JSON config document into a NetworkConfig.
 
@@ -189,9 +196,7 @@ def load_config(text: str) -> NetworkConfig:
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
+    reject_unknown_fields(doc, _FIELDS)
     missing = [f for f in _FIELDS if f not in doc]
     if missing:
         raise ConfigError(f"missing field(s): {', '.join(missing)}")

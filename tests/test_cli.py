@@ -1,12 +1,17 @@
 """CLI surface: engine routing, sweep specs, artifacts, exit codes."""
 import argparse
 import collections
+import contextlib
 import functools
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoinet import analytic, cli
 from aoinet.analytic import aoi_hetero_n2, aoi_lcfs_homogeneous, aoi_multi_source_n2
@@ -18,6 +23,7 @@ from aoinet.cli import (
     apply_parameter,
     chain_aoi,
     closed_form_aoi,
+    evaluate,
     load_sweep_spec,
     main,
     run_sweep,
@@ -26,7 +32,7 @@ from aoinet.cli import (
     _max_workers,
     _read_spec_text,
 )
-from aoinet.model import ConfigError, NetworkConfig
+from aoinet.model import ConfigError, HomogeneityClass, NetworkConfig, classify
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,7 +186,7 @@ def test_apply_parameter_servers_keeps_totals():
 
 
 def test_apply_parameter_servers_needs_exchangeable_base():
-    with pytest.raises(EngineError, match="exchangeable"):
+    with pytest.raises(ConfigError, match="exchangeable"):
         apply_parameter(cfg(mus=[1.0, 2.0]), "servers", 3.0)
 
 
@@ -189,9 +195,9 @@ def test_apply_parameter_arrival_values():
     assert out.arrival_rates == ((0.3, 0.3),)
     out = apply_parameter(cfg(), "total-arrival", 3.0)
     assert out.arrival_rates == ((1.5, 1.5),)
-    with pytest.raises(EngineError, match="> 0"):
+    with pytest.raises(ConfigError, match="> 0"):
         apply_parameter(cfg(), "per-server-arrival", 0.0)
-    with pytest.raises(EngineError, match="single-source"):
+    with pytest.raises(ConfigError, match="single-source"):
         apply_parameter(
             cfg(m=2, rates=[[0.5, 0.5], [0.5, 0.5]]), "per-server-arrival", 0.3
         )
@@ -202,16 +208,16 @@ def test_apply_parameter_tracked_source_rate():
     out = apply_parameter(base, "tracked-source-rate", 0.9)
     assert out.arrival_rates[0] == (0.9, 0.9)
     assert out.arrival_rates[1] == (0.7, 0.7)
-    with pytest.raises(EngineError, match="multi-source"):
+    with pytest.raises(ConfigError, match="multi-source"):
         apply_parameter(cfg(), "tracked-source-rate", 0.9)
 
 
 def test_apply_parameter_mu1_share():
     out = apply_parameter(cfg(mus=[3.0, 7.0]), "mu1-share", 2.0)
     assert out.service_rates == (2.0, 8.0)
-    with pytest.raises(EngineError, match="strictly between"):
+    with pytest.raises(ConfigError, match="strictly between"):
         apply_parameter(cfg(), "mu1-share", 2.5)
-    with pytest.raises(EngineError, match="two-server"):
+    with pytest.raises(ConfigError, match="two-server"):
         apply_parameter(cfg(n=3), "mu1-share", 0.5)
 
 
@@ -680,6 +686,169 @@ def test_main_sweep_refuses_too_many_servers(monkeypatch, tmp_path, capsys, valu
     )
 
 
+@pytest.mark.parametrize("case", ["wrong_base", "unknown_key"])
+def test_main_sweep_refusal_matches_golden(monkeypatch, capsys, case):
+    # refused while the spec loads: no engine runs
+    monkeypatch.setattr(cli, "evaluate", None)
+    assert main(["sweep", "--spec", str(DATA / f"sweep_{case}.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode("utf-8") == (DATA / f"sweep_{case}.err").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, parameter, grid, message",
+    [
+        # two sources on two servers, service total 2: 2.5 leaves the second server none
+        (config_doc(m=2, rates=[[0.5, 0.5], [0.3, 0.3]]), "mu1-share", [0.5, 1.0, 2.5],
+         "sweep grid value 2.5: mu1-share values must lie strictly between 0 and 2"),
+        # 5e-324 split over four servers underflows to a zero rate
+        (config_doc(n=4), "total-arrival", [5e-324, 1.0],
+         "sweep grid value 4.94065645841e-324: arrival_rates[0] must have a positive sum"),
+    ],
+    ids=["mu1-share-above-total", "total-arrival-underflow"],
+)
+def test_main_sweep_refuses_a_grid_point_before_any_engine_runs(
+    monkeypatch, tmp_path, capsys, config, parameter, grid, message
+):
+    monkeypatch.setattr(cli, "evaluate", None)
+    path = tmp_path / "spec.json"
+    path.write_text(sweep_doc(config=config, parameter=parameter, grid=grid,
+                              engines=["analytic", "shs"]))
+    assert main(["sweep", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"aoinet: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, sweep_extra, message",
+    [
+        ({"extra": 1}, {"horizn": 1000.0}, "unknown field(s) in sweep spec: extra"),
+        ({}, {"horizn": 1000.0, "replication": 5},
+         "unknown field(s) in 'sweep': horizn, replication"),
+    ],
+    ids=["top-level", "in-sweep"],
+)
+def test_main_sweep_rejects_unknown_keys(tmp_path, capsys, extra, sweep_extra, message):
+    doc = json.loads(sweep_doc(parameter="per-server-arrival", grid=[0.5], engines=["sim"],
+                               **sweep_extra))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**doc, **extra}))
+    assert main(["sweep", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"aoinet: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [("top", "unknown field(s) in optimize spec: extra"),
+     ("optimize", "unknown field(s) in 'optimize': mu1_gird")],
+    ids=["top-level", "in-optimize"],
+)
+def test_main_optimize_rejects_unknown_keys(tmp_path, capsys, where, message):
+    doc = json.loads(_read_spec_text("fig5"))
+    if where == "top":
+        doc["extra"] = 1
+    else:
+        doc["optimize"]["mu1_gird"] = [1.0]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"aoinet: error: {message}\n"
+
+
+@pytest.mark.parametrize("weights", ["1,x", "", "1,,2"])
+def test_main_optimize_rejects_malformed_weights(capsys, weights):
+    argv = ["optimize", "--kind", "weighted", "--weights", weights, "--total", "3", "--mu", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"aoinet: error: --weights must be comma-separated numbers, not {weights!r}\n"
+
+
+EXCHANGEABLE = (HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE,
+                HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE)
+
+
+def sweep_base(kind, n, disc):
+    """A base config of one class: exchangeable, shared, distinct or general."""
+    distinct_rates, distinct_mus = [0.5 * (j + 1) for j in range(n)], [1.0 + j for j in range(n)]
+    m, rates, mus = {
+        "exchangeable": (1, [[0.5] * n], [1.0] * n),
+        "shared": (2, [[0.5] * n, [0.25] * n], [1.0] * n),
+        "distinct": (1, [distinct_rates], distinct_mus),
+        "general": (2, [distinct_rates, [0.25] * n], distinct_mus),
+    }[kind]
+    return config_doc(m, n, rates, mus, disc)
+
+
+def in_domain(config, parameter, value):
+    """Whether `parameter` can take `value` on `config`, as the README states it."""
+    if parameter == "servers":
+        return classify(config) in EXCHANGEABLE
+    if parameter in ("per-server-arrival", "total-arrival"):
+        return config.sources == 1 and value > 0
+    if parameter == "tracked-source-rate":
+        return classify(config) is HomogeneityClass.HOMOGENEOUS_MULTI_SOURCE and value > 0
+    return config.servers == 2 and 0 < value < sum(config.service_rates)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    parameter=st.sampled_from(list(GRID_BASES)),
+    kind=st.sampled_from(["exchangeable", "shared", "distinct", "general"]),
+    n=st.integers(1, 3),
+    disc=st.sampled_from(["lcfs-s", "fcfs"]),
+    # mostly positive integers, which every parameter can take on some base
+    grid=st.sets(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+                           st.sampled_from([-1.0, 0.0, 0.5, 2.5])),
+                 min_size=1, max_size=3).map(sorted),
+    engines=st.sampled_from([["analytic"], ["shs"], ["analytic", "shs"]]),
+)
+def test_sweep_exits_2_or_writes_every_row(parameter, kind, n, disc, grid, engines):
+    # a spec that loads gives one row per point, engine and source, and only an
+    # engine fills a row's error; any other spec exits 2 with one line
+    doc = sweep_base(kind, n, disc)
+    config = NetworkConfig(**doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(sweep_doc(config=doc, parameter=parameter, grid=grid, engines=engines))
+        code, out, err = run_main(["sweep", "--spec", str(path)])
+    bad = [v for v in grid if not in_domain(config, parameter, v)]
+    if parameter == "servers" and any(v != int(v) or v < 1 for v in grid):
+        assert (code, out, err) == (
+            2, "", "aoinet: error: servers grid values must be positive integers\n")
+        return
+    if bad:
+        assert code == 2 and out == ""
+        assert err.startswith(f"aoinet: error: sweep grid value {bad[0]:.12g}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    keys = [(v, e, i) for v in grid for e in engines for i in range(config.sources)]
+    assert len(rows) == len(grid) * len(engines) * config.sources
+    assert [tuple(r[:3]) for r in rows] == [(f"{v:.12g}", e, str(i)) for v, e, i in keys]
+    for row, (v, e, i) in zip(rows, keys):
+        _, _, error = evaluate(e, apply_parameter(config, parameter, v))[i]
+        assert row[5] == error.replace(",", ";")
+        assert (row[3] == "") == bool(error)
+    assert code == (1 if any(row[5] for row in rows) else 0)
+
+
 @pytest.mark.parametrize(
     "value, word",
     [("-1", "horizon"), ("0", "horizon"), ("nan", "horizon"), ("inf", "horizon"),
@@ -975,7 +1144,7 @@ def golden_runs():
     runs += [(["sweep", "--spec", "fig6"], 0, "sweep_fig6.csv")]
     runs += [
         (["sweep", "--spec", str(DATA / f"sweep_{case}.json")], 2, f"sweep_{case}.err")
-        for case in ("nan_grid", "huge_servers")
+        for case in ("nan_grid", "huge_servers", "wrong_base", "unknown_key")
     ]
     runs += [
         (simulate_golden_argv(d), 0, f"simulate_3x3_{d}.json")
