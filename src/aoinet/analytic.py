@@ -1,15 +1,18 @@
 """Closed-form average ages for the network classes that admit them.
 
 All formulas are for preemptive (LCFS-S) service with Poisson arrivals and
-exponential servers; rates are per server unless stated otherwise.
+exponential servers; rates are per server unless stated otherwise. Nothing
+here solves a chain: three distinct servers use the subset recursion of
+aoi_hetero_n3, which adds positive terms only and so loses no digits at large rate spans.
 """
 from __future__ import annotations
 
 import math
 
-from .builders import build_heterogeneous_single_source
+# not called here; perfbench/tracing.py rebinds both names on this module
+from .builders import build_heterogeneous_single_source  # noqa: F401
 from .model import positive_rate
-from .shs import solve_age
+from .shs import solve_age  # noqa: F401
 
 
 def aoi_lcfs_homogeneous(n: int, lam: float, mu: float) -> float:
@@ -99,8 +102,17 @@ def aoi_hetero_n3(
 ) -> float:
     """Average age for one source over three distinct preemptive servers.
 
-    Thin wrapper over the six-state chain solve; all rates must be positive.
+    T(A), the mean time until a server in A (those holding an update newer than
+    t - x) delivers, is (1 + sum_{j not in A} lam_j T(A + j)) / (sum_{j not in A}
+    lam_j + sum_{j in A} mu_j); the age is T({}). All rates must be positive.
     """
     if len(arrival_rates) != 3 or len(service_rates) != 3:
         raise ValueError("need exactly three arrival and three service rates")
-    return solve_age(build_heterogeneous_single_source(arrival_rates, service_rates)).aoi
+    lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
+    mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
+    t = [0.0] * 8  # t[a] = T(A) for A the bits of a; supersets of A have larger a
+    for a in range(7, -1, -1):
+        free = [j for j in range(3) if not a >> j & 1]
+        den = sum(lams[j] for j in free) + sum(mus[j] for j in range(3) if a >> j & 1)
+        t[a] = (1.0 + sum(lams[j] * t[a | 1 << j] for j in free)) / den
+    return t[0]

@@ -250,6 +250,8 @@ def load_sweep_spec(text: str) -> SweepSpec:
         disciplines = tuple(QueueDiscipline(d) for d in raw_disc)
     except ValueError:
         raise ConfigError("unknown discipline in sweep 'disciplines'") from None
+    if "disciplines" in sw and "sim" not in engines:
+        raise ConfigError("sweep 'disciplines' needs the 'sim' engine in 'engines'")
 
     def number(key: str, default: float | None, integer: bool = False):
         value = sw.get(key, default)
@@ -269,14 +271,11 @@ def load_sweep_spec(text: str) -> SweepSpec:
     if replications < 1:
         raise ConfigError("sweep 'replications' must be >= 1")
     grid = tuple(float(v) for v in grid)
-    if parameter == "servers":
-        if any(v != int(v) or v < 1 for v in grid):
-            raise ConfigError("servers grid values must be positive integers")
-        if grid[-1] > _MAX_SWEEP_SERVERS:
-            raise ConfigError(
-                f"servers grid value {_fmt(grid[-1])} is above the limit of "
-                f"{_MAX_SWEEP_SERVERS} servers"
-            )
+    if parameter == "servers" and grid[-1] > _MAX_SWEEP_SERVERS:
+        raise ConfigError(
+            f"servers grid value {_fmt(grid[-1])} is above the limit of "
+            f"{_MAX_SWEEP_SERVERS} servers"
+        )
     points = []
     for value in grid:
         try:
@@ -301,6 +300,8 @@ def apply_parameter(config: NetworkConfig, parameter: str, value: float) -> Netw
                 "the servers sweep holds per-source totals fixed and needs an "
                 "exchangeable-server base config"
             )
+        if not (value >= 1 and float(value).is_integer()):
+            raise ConfigError("servers values must be positive integers")
         k = int(value)
         rows = [[config.source_total(i) / k] * k for i in range(config.sources)]
         return NetworkConfig(

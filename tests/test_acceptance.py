@@ -197,6 +197,8 @@ def test_chain_solver_matches_closed_forms():
         assert rel(sol.aoi, aoi_ref) < 1e-9
         assert np.max(np.abs(sol.pi - pi_ref)) < 1e-9
         assert np.max(np.abs(sol.v[:, 1:] - v_ref[:, 1:])) < 1e-9
+        # the closed form solves no chain, so it meets the reference on its own
+        assert rel(aoi_hetero_n3(lams, mus), aoi_ref) < 1e-12
 
     # the solutions must satisfy the balance and age equations directly
     for model, sol in sampled:

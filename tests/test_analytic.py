@@ -1,7 +1,15 @@
 """Closed forms: frozen values, cross-family identities, scaling laws."""
+import contextlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aoinet import analytic
 from aoinet.analytic import (
     aoi_hetero_n2,
     aoi_hetero_n3,
@@ -9,8 +17,11 @@ from aoinet.analytic import (
     aoi_multi_source_n2,
     aoi_multi_source_n3,
 )
-from aoinet.builders import build_multi_source_homogeneous
-from aoinet.shs import solve_age
+from aoinet.builders import build_heterogeneous_single_source, build_multi_source_homogeneous
+from aoinet.cli import main
+from aoinet.shs import NonErgodicError, solve_age
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_homogeneous_frozen_values():
@@ -153,3 +164,74 @@ def test_three_distinct_servers_validation():
         aoi_hetero_n3([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="exactly three"):
         aoi_hetero_n3([1.0] * 4, [1.0] * 4)
+
+
+@contextlib.contextmanager
+def no_chain():
+    """aoinet.analytic with its chain builder and solver names made to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form built or solved a chain")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "solve_age", refuse)
+        mp.setattr(analytic, "build_heterogeneous_single_source", refuse)
+        yield
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    scale=st.floats(-3.0, 3.0),
+    exponents=st.lists(st.floats(0.0, 4.0), min_size=6, max_size=6),
+)
+def test_three_distinct_servers_match_the_chain(scale, exponents):
+    # every rate within a span (max / min) of 1e4 of the others
+    rates = [10.0 ** (scale + e) for e in exponents]
+    lams, mus = rates[:3], rates[3:]
+    with no_chain():
+        aoi = aoi_hetero_n3(lams, mus)
+    try:
+        chain = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
+    except NonErgodicError as e:
+        # the chain's balance check refuses some ergodic chains at spans near
+        # 1e4, where the state it normalizes on has a mass near 1e-8
+        assert str(e).startswith("balance residual"), e
+        return
+    assert abs(aoi - chain) <= 1e-12 * chain
+
+
+def test_three_distinct_servers_solve_no_chain(capsys):
+    config = DATA / "analytic_1x3_distinct.config.json"
+    doc = json.loads(config.read_text())
+    golden = json.loads((DATA / "analytic_1x3_distinct.json").read_text())
+    with no_chain():
+        assert aoi_hetero_n3(doc["arrival_rates"][0], doc["service_rates"]) == (
+            golden["sources"][0]["analytic"])
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            assert main(["analytic", "--config", str(config), "--format", fmt]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert out.encode("utf-8") == (DATA / f"analytic_1x3_distinct.{ext}").read_bytes()
+
+
+def test_three_distinct_servers_negligible_third_server():
+    # a third server that almost never gets an update leaves the first two;
+    # the chain loses the service terms at these spans, the recursion does not
+    for k in range(0, 301, 10):
+        big = 10.0**k
+        with no_chain():
+            aoi = aoi_hetero_n3([big, 1.1 * big, 1e-30], [1.0, 2.0, 3.0])
+        assert aoi == pytest.approx(aoi_hetero_n2(big, 1.1 * big, 1.0, 2.0), rel=1e-15), big
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [("arrival_rates", 0, 0.0), ("arrival_rates", 2, -1.0), ("service_rates", 1, math.nan),
+     ("service_rates", 2, math.inf)],
+)
+def test_three_distinct_servers_rate_messages(field, index, bad):
+    rates = {"arrival_rates": [0.5, 1.0, 1.5], "service_rates": [1.0, 2.0, 0.7]}
+    rates[field][index] = bad
+    with no_chain(), pytest.raises(ValueError) as info:
+        aoi_hetero_n3(rates["arrival_rates"], rates["service_rates"])
+    assert str(info.value) == f"{field}[{index}] must be finite and > 0"

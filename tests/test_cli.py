@@ -190,6 +190,24 @@ def test_apply_parameter_servers_needs_exchangeable_base():
         apply_parameter(cfg(mus=[1.0, 2.0]), "servers", 3.0)
 
 
+@pytest.mark.parametrize("value", [2.5, 0.0, -1.0, math.nan])
+def test_apply_parameter_servers_needs_a_positive_integer(value):
+    # a direct call is checked as a sweep point is, never truncated
+    with pytest.raises(ConfigError, match="^servers values must be positive integers$"):
+        apply_parameter(cfg(), "servers", value)
+
+
+def test_sweep_disciplines_need_the_sim_engine():
+    with pytest.raises(ConfigError, match="'disciplines' needs the 'sim' engine"):
+        load_sweep_spec(sweep_doc(parameter="servers", grid=[1], engines=["analytic", "shs"],
+                                  disciplines=["fcfs"]))
+    # the run fields only the simulator reads stay accepted; horizon and seed
+    # are reported in the sweep's metadata
+    spec = load_sweep_spec(sweep_doc(parameter="servers", grid=[1], engines=["analytic"],
+                                     horizon=50.0, seed=3, replications=7))
+    assert (spec.run.horizon, spec.run.seed, spec.replications) == (50.0, 3, 7)
+
+
 def test_apply_parameter_arrival_values():
     out = apply_parameter(cfg(), "per-server-arrival", 0.3)
     assert out.arrival_rates == ((0.3, 0.3),)
@@ -789,7 +807,7 @@ def sweep_base(kind, n, disc):
 def in_domain(config, parameter, value):
     """Whether `parameter` can take `value` on `config`, as the README states it."""
     if parameter == "servers":
-        return classify(config) in EXCHANGEABLE
+        return classify(config) in EXCHANGEABLE and value >= 1 and value == int(value)
     if parameter in ("per-server-arrival", "total-arrival"):
         return config.sources == 1 and value > 0
     if parameter == "tracked-source-rate":
@@ -826,10 +844,6 @@ def test_sweep_exits_2_or_writes_every_row(parameter, kind, n, disc, grid, engin
         path.write_text(sweep_doc(config=doc, parameter=parameter, grid=grid, engines=engines))
         code, out, err = run_main(["sweep", "--spec", str(path)])
     bad = [v for v in grid if not in_domain(config, parameter, v)]
-    if parameter == "servers" and any(v != int(v) or v < 1 for v in grid):
-        assert (code, out, err) == (
-            2, "", "aoinet: error: servers grid values must be positive integers\n")
-        return
     if bad:
         assert code == 2 and out == ""
         assert err.startswith(f"aoinet: error: sweep grid value {bad[0]:.12g}: ")
@@ -1062,7 +1076,7 @@ def test_main_analytic_matches_golden(capsys, case, code, fmt, ext):
 
 # every name perfbench/tracing.py rebinds on aoinet.cli, and the two it
 # rebinds on aoinet.analytic; its per-layer counts are right only while the
-# CLI looks these up at call time
+# CLI looks these up at call time, and instrument() fails on a missing name
 TRACED_NAMES = [
     (cli, name)
     for name in (
@@ -1100,7 +1114,9 @@ def test_traced_names_are_looked_up_at_call_time(monkeypatch, tmp_config, capsys
     assert main(["optimize", "--kind", "hetero-n2", "--total", "10", "--mu1", "30",
                  "--mu2", "70"]) == 0
     capsys.readouterr()
-    assert [key for key in keys if not calls[key]] == []
+    # analytic.py keeps its two names for the tracer to rebind, and calls neither
+    assert [key for key in keys if not calls[key]] == [
+        "aoinet.analytic.solve_age", "aoinet.analytic.build_heterogeneous_single_source"]
 
 
 # ---------------------------------------------------------------- parser
@@ -1144,7 +1160,8 @@ def golden_runs():
     runs += [(["sweep", "--spec", "fig6"], 0, "sweep_fig6.csv")]
     runs += [
         (["sweep", "--spec", str(DATA / f"sweep_{case}.json")], 2, f"sweep_{case}.err")
-        for case in ("nan_grid", "huge_servers", "wrong_base", "unknown_key")
+        for case in ("nan_grid", "huge_servers", "wrong_base", "unknown_key",
+                     "disciplines_without_sim")
     ]
     runs += [
         (simulate_golden_argv(d), 0, f"simulate_3x3_{d}.json")
