@@ -1,11 +1,10 @@
 """Chain builders for preemptive-server update networks.
 
 All builders model LCFS-S service with the age vector ordered freshest-first
-for the homogeneous cases (coordinate 0 is the monitor, coordinate k the k-th
-freshest server), and with per-physical-server coordinates for the
-heterogeneous case. Delivered updates overwrite the monitor and, through
-harmless synthetic preemption, every staler server, which is what collapses
-or bounds the discrete state space.
+(coordinate 0 is the monitor, coordinate k the k-th freshest server), so a
+reset map depends only on the slot that receives or delivers (`_slot_maps`).
+Delivered updates overwrite the monitor and, through harmless synthetic
+preemption, every staler server, which collapses or bounds the state space.
 """
 from __future__ import annotations
 
@@ -16,6 +15,28 @@ import numpy as np
 
 from .model import positive_rate
 from .shs import ShsModel
+
+
+def _slot_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrival, displacement and delivery maps; row s - 1 acts on slot s."""
+    coord = np.arange(n + 1)
+    slot = coord[1:, None]
+    # a fresh update enters as the new slot-th freshest age: the monitor keeps
+    # its age, fresher coordinates shift down one slot, the previous occupant
+    # of the slot is dropped, staler coordinates are untouched
+    arrival = coord - (coord <= slot)
+    arrival[:, :2] = (0, -1)
+    # another source's update drops the slot's occupant, staler slots move one
+    # slot fresher, and the displaced server's monitor-age content is appended
+    # as the stalest coordinate
+    displaced = coord + (coord >= slot)
+    displaced[:, -1] = 0
+    # the slot's update reaches the monitor: the monitor and every slot at or
+    # staler than it take its age (synthetic refresh of the stale servers);
+    # fresher coordinates are untouched
+    delivery = np.minimum(coord, slot)
+    delivery[:, 0] = slot[:, 0]
+    return arrival, displaced, delivery
 
 
 def build_single_source_homogeneous(n: int, lam: float, mu: float) -> ShsModel:
@@ -42,11 +63,11 @@ def build_multi_source_homogeneous(
     (useless if delivered) appears as the stalest entry.
 
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
-    reset map, and a dense (n + 1)^2 age system in `solve_age`, so peak memory
-    is about 115 n^2 bytes (170 n^2 with other sources). n = 2,000 builds in
-    0.07 s and solves in 0.6 to 0.7 s at 0.47 GB, and n = 3,000 in 0.14 s and
-    1.5 to 1.7 s at 1.02 GB (one BLAS thread, 2-vCPU x86 machine, numpy 2.4
-    with OpenBLAS); n = 20,000 would need about 46 GB.
+    reset map, and about 2n^2 age-system terms (a dense (n + 1)^2 system with
+    other sources), so peak memory is about 115 n^2 bytes (170 n^2 with other
+    sources). n = 2,000 builds in 0.08 s and solves in 0.8 to 1.0 s at 0.47 GB,
+    and n = 3,000 in 0.17 s and 2.0 to 2.5 s at 1.01 GB (one BLAS thread,
+    2-vCPU x86 machine, numpy 2.4 with OpenBLAS); n = 20,000 needs about 46 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -61,33 +82,13 @@ def build_multi_source_homogeneous(
     mu = positive_rate("mu", mu)
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
-    # row s - 1 of each map acts on freshness slot s (1..n); coordinate 0 is
-    # the monitor
-    d = n + 1
-    coord = np.arange(d)
-    slot = coord[1:, None]
-    # a fresh update enters as the new slot-th freshest age: the monitor keeps
-    # its age, fresher coordinates shift down one slot, the previous occupant
-    # of the slot is dropped, staler coordinates are untouched
-    arrival = coord - (coord <= slot)
-    arrival[:, :2] = (0, -1)
-    # another source's update drops the slot's occupant, staler slots move one
-    # slot fresher, and the displaced server's monitor-age content is appended
-    # as the stalest coordinate
-    displaced = coord + (coord >= slot)
-    displaced[:, -1] = 0
-    # the slot's update reaches the monitor: the monitor and every slot at or
-    # staler than it take its age (synthetic refresh of the stale servers);
-    # fresher coordinates are untouched
-    delivery = np.minimum(coord, slot)
-    delivery[:, 0] = slot[:, 0]
+    arrival, displaced, delivery = _slot_maps(n)
     # rows: n arrivals, n displacements if other sources send, n deliveries
     map_rates = [lam_i, lam_bar, mu] if lam_bar > 0 else [lam_i, mu]
     maps = [arrival, displaced, delivery] if lam_bar > 0 else [arrival, delivery]
     state = np.zeros(len(maps) * n, dtype=np.intp)  # every transition is a self-loop
-    return ShsModel(
-        1, d, state, state, np.repeat(map_rates, n), np.concatenate(maps), np.ones((1, d))
-    )
+    take = np.concatenate(maps)
+    return ShsModel(1, n + 1, state, state, np.repeat(map_rates, n), take, np.ones((1, n + 1)))
 
 
 def build_heterogeneous_single_source(
@@ -97,19 +98,19 @@ def build_heterogeneous_single_source(
     """One source, n distinct servers with per-server (lambda_j, mu_j).
 
     Discrete states are the n! freshness orderings of the servers, indexed by
-    lexicographic rank of the permutation (freshest first). An arrival at
-    server j zeroes its age and moves it to the front; a delivery from server
-    j refreshes the monitor and every server at j's rank or staler, leaving
-    the ordering unchanged (self-loop).
+    lexicographic rank of the permutation (freshest first); coordinate r + 1
+    is the age at rank r. An arrival at server j zeroes its age and moves it
+    to the front; a delivery from rank r refreshes the monitor and every rank
+    at or staler than r, leaving the ordering unchanged (self-loop).
 
     The chain is written as whole arrays (all orderings at once), in the
-    order: per state, its n arrivals, then its n deliveries by rank.
+    order: per state, its n arrivals by server, then its n deliveries by rank.
 
-    Capped at n <= 6: the dense age system has n! * (n + 1) unknowns. At
-    n = 6 (720 states, 5040 unknowns) the build takes about 3 ms and the
-    solve 2.1 to 2.4 s with one BLAS thread, with a 0.44 GB peak (2-vCPU x86
-    machine, numpy 2.4 with OpenBLAS); at n = 7 the age matrix alone would be
-    about 13 GB.
+    Capped at n <= 6. Each server coordinate reads only itself or a fresher
+    one, so `solve_age` solves n + 1 blocks of n! unknowns: at n = 6 the build
+    takes about 2 ms and the solve 0.2 s at a 50 MB peak (one BLAS thread,
+    2-vCPU x86 machine, numpy 2.4 with OpenBLAS). n = 7 would have eight
+    blocks of 5040 unknowns, each a 200 MB dense LU.
     """
     lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
     mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
@@ -130,22 +131,14 @@ def build_heterogeneous_single_source(
     d = n + 1
 
     # arrival at server j (axis 1): j moves to the front, the others keep
-    # their order, and server j's age resets to zero
+    # their order
     others = perms[:, None, :] != servers[:, None]
     rest = np.broadcast_to(perms[:, None, :], (num_states, n, n))[others]
     key = servers * place[0] + rest.reshape(num_states, n, n - 1) @ place[1:]
     arrival_target = np.searchsorted(perms @ place, key)
-    arrival_take = np.tile(np.arange(d), (n, 1))
-    arrival_take[servers, servers + 1] = -1
 
-    # delivery from the server at rank pos (axis 1): the monitor and every
-    # server at that rank or staler take its age; the ordering is unchanged
-    rank = np.argsort(perms, axis=1)
-    staler = rank[:, None, :] >= servers[:, None]
-    sender = perms[:, :, None] + 1
-    delivery_take = np.concatenate(
-        [sender, np.where(staler, sender, servers + 1)], axis=2
-    )
+    # an arrival's map acts on its server's rank, the r-th delivery's on rank r
+    arrival, _, delivery = _slot_maps(n)
 
     # per state: its n arrivals, then its n deliveries
     state = np.arange(num_states)
@@ -156,7 +149,7 @@ def build_heterogeneous_single_source(
         target=np.hstack([arrival_target, np.repeat(state[:, None], n, axis=1)]).ravel(),
         rate=np.hstack([np.tile(lams, (num_states, 1)), np.array(mus)[perms]]).ravel(),
         take=np.hstack(
-            [np.broadcast_to(arrival_take, (num_states, n, d)), delivery_take]
+            [arrival[np.argsort(perms, axis=1)], np.broadcast_to(delivery, (num_states, n, d))]
         ).reshape(-1, d),
         growth=np.ones((num_states, d)),
     )

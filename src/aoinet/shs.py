@@ -22,7 +22,9 @@ over the terms (equation, unknown, rate), which `_matrix` assembles and
 `_residual` checks. Stationary balance: diag is the exit rates, each
 transition is a term (target, source, rate), rhs is 0. Expected age: diag is
 each state's exit rate per coordinate, the terms are `_age_terms`, rhs is
-growth * pi.
+growth * pi. It is solved in blocks of coordinates taken in the order 1, ...,
+d - 1, 0, a block ending where no equation so far reads a later coordinate
+(`_age_blocks`); server coordinates ordered freshest first read no staler one.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .model import positive_rate
 RESIDUAL_RTOL = 1e-10
 # expected ages below this are a modeling error, not noise
 NEGATIVE_ATOL = 1e-9
+BLOCK_UNKNOWNS = 128  # age-system blocks are merged up to about this many unknowns
 
 
 class NonErgodicError(RuntimeError):
@@ -202,16 +205,41 @@ def _strongly_connected(model: ShsModel) -> bool:
     return reaches_all(model.source, model.target) and reaches_all(model.target, model.source)
 
 
-def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(equation, unknown, rate) of each copy term of the age equations.
+def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The copy terms (equation, unknown, rate) of the age equations, and their blocks.
 
     Transition k adds rate[k] * v[source[k], take[k, c]] to the equation of
     (target[k], c) for every kept coordinate c. Equations and unknowns are
-    flat indices, state-major; terms come in transition order.
+    flat indices, state-major. Terms come in transition order for one block,
+    and for several by coordinate in block order, each in transition order.
     """
-    d, take = model.age_dim, model.take
-    k, c = np.nonzero(take >= 0)
-    return model.target[k] * d + c, model.source[k] * d + take[k, c], model.rate[k]
+    d, blocks = model.age_dim, _age_blocks(model)
+    kept = model.take if len(blocks) == 1 else model.take.T[np.arange(1, d + 1) % d]
+    keep = kept >= 0
+    i, j = np.nonzero(keep)
+    k, c = (i, j) if len(blocks) == 1 else (j, (i + 1) % d)
+    unknown = kept[keep]
+    del kept, keep  # before the term arrays grow
+    unknown += (model.source * d)[k]
+    return (model.target * d)[k] + c, unknown, model.rate[k], blocks
+
+
+def _age_blocks(model: ShsModel) -> list[tuple[int, int | None, np.ndarray | None]]:
+    """(first term, end term, coordinates) of each block, or [(0, None, None)].
+
+    Coordinate c >= 1 is at position c - 1 and the monitor at d - 1. Merged
+    blocks end at the last block end in each span of BLOCK_UNKNOWNS unknowns.
+    """
+    s, d, take = model.num_states, model.age_dim, model.take
+    order, cuts = np.arange(1, d + 1) % d, [0, d]
+    if s * d > BLOCK_UNKNOWNS:
+        reach = np.where((take == 0).any(axis=0), d - 1, take.max(axis=0, initial=-1) - 1)[order]
+        ends = np.flatnonzero(np.maximum.accumulate(reach) <= np.arange(d)) + 1
+        cuts = [0, *ends[np.append(np.diff((ends * s - 1) // BLOCK_UNKNOWNS) > 0, True)]]
+    if len(cuts) == 2:
+        return [(0, None, None)]
+    start = np.cumsum([0, *np.count_nonzero(take >= 0, axis=0)[order]])
+    return [(start[a], start[b], order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _matrix(diag: np.ndarray, terms: tuple) -> np.ndarray:
@@ -251,7 +279,7 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     """Worst relative residual of the expected-age equations for a solution v."""
     diag = np.repeat(model.exit_rates(), model.age_dim)
-    return _residual(diag, _age_terms(model), v.ravel(), (model.growth * pi[:, None]).ravel())
+    return _residual(diag, _age_terms(model)[:3], v.ravel(), (model.growth * pi[:, None]).ravel())
 
 
 def stationary_distribution(model: ShsModel) -> np.ndarray:
@@ -293,9 +321,21 @@ def solve_age(model: ShsModel) -> ShsSolution:
     """
     pi = stationary_distribution(model)
     diag = np.repeat(model.exit_rates(), model.age_dim)
-    terms = _age_terms(model)
-    rhs = (model.growth * pi[:, None]).ravel()
-    flat = _solve(_matrix(diag, terms), rhs, "age")
+    eq, unknown, rate, blocks = _age_terms(model)
+    terms, rhs = (eq, unknown, rate), (model.growth * pi[:, None]).ravel()
+    if len(blocks) == 1:
+        flat = _solve(_matrix(diag, terms), rhs, "age")
+    else:
+        # solved blocks' terms go to the rhs; local[i]: i's int32 index in its block, -1 if solved
+        flat, local = np.zeros_like(rhs), np.empty(rhs.size, dtype=np.int32)
+        for lo, hi, coords in blocks:
+            idx = (np.arange(model.num_states)[:, None] * model.age_dim + coords).ravel()
+            local[idx] = np.arange(idx.size)
+            e, u, r = local[eq[lo:hi]], unknown[lo:hi], rate[lo:hi]
+            b = rhs[idx] + np.bincount(e, weights=r * flat[u], minlength=idx.size)
+            u = local[u]
+            flat[idx] = _solve(_matrix(diag[idx], (e[u >= 0], u[u >= 0], r[u >= 0])), b, "age")
+            local[idx] = -1
     worst = _residual(diag, terms, flat, rhs)
     if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(

@@ -224,16 +224,17 @@ def test_hetero_two_server_transitions():
     assert m.num_states == 2
     assert len(m.transitions) == 8
     expected = [
-        # arrivals renew a server and move it to the freshest rank
+        # arrivals renew a server and move it to the freshest rank; the maps
+        # act on ranks, so they depend on the server's rank, not its label
         (lam1, 0, 0, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
-        (lam1, 1, 0, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
-        (lam2, 0, 1, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
-        (lam2, 1, 1, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        (lam1, 1, 0, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        (lam2, 0, 1, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        (lam2, 1, 1, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
         # deliveries refresh the monitor and every rank at or below the sender
         (mu1, 0, 0, [[0, 0, 0], [1, 1, 1], [0, 0, 0]]),
-        (mu1, 1, 1, [[0, 0, 0], [1, 1, 0], [0, 0, 1]]),
+        (mu1, 1, 1, [[0, 0, 0], [0, 1, 0], [1, 0, 1]]),
         (mu2, 0, 0, [[0, 0, 0], [0, 1, 0], [1, 0, 1]]),
-        (mu2, 1, 1, [[0, 0, 0], [0, 0, 0], [1, 1, 1]]),
+        (mu2, 1, 1, [[0, 0, 0], [1, 1, 1], [0, 0, 0]]),
     ]
     got = sorted(map(transition_key, m.transitions))
     want = sorted(
@@ -251,14 +252,16 @@ def test_hetero_two_server_age_identities():
     assert pi[0] == pytest.approx(lam1 / total, rel=1e-12)
     assert pi[1] == pytest.approx(lam2 / total, rel=1e-12)
     v = solve_age(m).v
-    # a server at the freshest rank has been idle-free since its last arrival
+    # coordinate 1 is the freshest rank, held by the lam1 server in state 0
+    # and the lam2 server in state 1; it has been idle-free since its last
+    # arrival
     assert v[0, 1] == pytest.approx(pi[0] / total, rel=1e-10)
-    assert v[1, 2] == pytest.approx(pi[1] / total, rel=1e-10)
+    assert v[1, 1] == pytest.approx(pi[1] / total, rel=1e-10)
     # a server at the stale rank additionally waits out the other's activity
     assert v[0, 2] == pytest.approx(
         pi[0] * (1 / total + 1 / (lam2 + mu1)), rel=1e-10
     )
-    assert v[1, 1] == pytest.approx(
+    assert v[1, 2] == pytest.approx(
         pi[1] * (1 / total + 1 / (lam1 + mu2)), rel=1e-10
     )
 
@@ -292,10 +295,10 @@ def test_hetero_three_server_fresh_rank_ages():
     total = sum(lams)
     pi = stationary_distribution(m)
     v = solve_age(m).v
-    # freshest-rank server in each ordering: age expectation pi_q / total
-    fresh_coord = [1, 1, 2, 2, 3, 3]
-    for q, k in enumerate(fresh_coord):
-        assert v[q, k] == pytest.approx(pi[q] / total, rel=1e-10)
+    # freshest-rank server in each ordering, always coordinate 1: age
+    # expectation pi_q / total
+    for q in range(6):
+        assert v[q, 1] == pytest.approx(pi[q] / total, rel=1e-10)
 
 
 def test_hetero_service_transitions_are_self_loops():
@@ -364,7 +367,8 @@ def hetero_oracle(lams, mus):
     """The distinct-server chain written one transition record at a time.
 
     A plain loop over orderings and servers, kept as the reference for the
-    array builder: same states, same transitions, same order.
+    array builder: same states, same transitions, same order. Coordinate
+    r + 1 is the age at the server of freshness rank r.
     """
     n = len(lams)
     states = list(itertools.permutations(range(n)))
@@ -373,16 +377,19 @@ def hetero_oracle(lams, mus):
     transitions = []
     for q, perm in enumerate(states):
         for j in range(n):
+            # server j's age resets to zero at the freshest rank, and the
+            # ranks fresher than j's old one move one rank staler
+            rank = perm.index(j)
             take = np.arange(d)
-            take[j + 1] = -1  # server j's age resets to zero
+            take[1] = -1
+            take[2 : rank + 2] = np.arange(1, rank + 1)
             target = index[(j,) + tuple(k for k in perm if k != j)]
             transitions.append(ShsTransition(q, target, lams[j], take))
-        coords = np.array(perm) + 1
-        for pos, j in enumerate(perm):
-            # the monitor and every server at j's rank or staler take x_j
+        for rank, j in enumerate(perm):
+            # the monitor and every rank at or staler than j's take its age
             take = np.arange(d)
-            take[0] = j + 1
-            take[coords[pos:]] = j + 1
+            take[0] = rank + 1
+            take[rank + 1 :] = rank + 1
             transitions.append(ShsTransition(q, q, mus[j], take))
     return ShsModel.from_transitions(len(states), d, transitions, np.ones((len(states), d)))
 

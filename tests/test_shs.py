@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoinet import shs
-from aoinet.builders import build_single_source_homogeneous
+from aoinet.builders import (
+    build_heterogeneous_single_source,
+    build_multi_source_homogeneous,
+    build_single_source_homogeneous,
+)
 from aoinet.shs import (
     NegativeSolutionError,
     NonErgodicError,
     ShsModel,
     ShsTransition,
+    _age_blocks,
+    _age_terms,
     _matrix,
+    _solve,
     _strongly_connected,
     age_residual,
     balance_residual,
@@ -247,6 +254,77 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     monkeypatch.setattr(shs, "_age_terms", counting)
     solve_age(build_single_source_homogeneous(3, 1.0, 1.0))
     assert len(calls) == 1
+
+
+def dense_age(model):
+    """The expected ages from the whole age system as one dense solve."""
+    pi = stationary_distribution(model)
+    diag = np.repeat(model.exit_rates(), model.age_dim)
+    rhs = (model.growth * pi[:, None]).ravel()
+    flat = _solve(_matrix(diag, _age_terms(model)[:3]), rhs, "age")
+    v = np.maximum(flat, 0.0).reshape(model.num_states, model.age_dim)
+    return v, float(v[:, 0].sum())
+
+
+_RATE = st.floats(0.1, 10.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(st.tuples(_RATE, _RATE), min_size=n, max_size=n)
+        ).map(lambda pairs: build_heterogeneous_single_source(*zip(*pairs))),
+        st.builds(build_single_source_homogeneous, st.integers(1, 300), _RATE, _RATE),
+        st.builds(
+            build_multi_source_homogeneous,
+            st.integers(1, 150),
+            st.just(0),
+            st.lists(_RATE, min_size=2, max_size=3),
+            _RATE,
+        ),
+    )
+)
+def test_block_solve_matches_the_dense_solve(model):
+    # distinct servers take one block per coordinate from n = 5, one source
+    # on exchangeable servers one block per 128 coordinates, and shared
+    # servers one block, which is the dense solve to the bit
+    v, aoi = dense_age(model)
+    sol = solve_age(model)
+    assert np.max(np.abs(sol.v - v) / v) < 1e-12
+    assert abs(sol.aoi - aoi) < 1e-12 * aoi
+    if len(_age_blocks(model)) == 1:
+        assert sol.v.tobytes() == v.tobytes()
+        assert repr(sol.aoi) == repr(aoi)
+
+
+def test_blocks_follow_the_coordinates_read():
+    # a distinct-server coordinate reads only fresher ones: one block each
+    distinct = build_heterogeneous_single_source([0.5, 1.0, 1.5, 2.0, 2.5], [1.0] * 5)
+    blocks = _age_blocks(distinct)
+    assert [c.tolist() for _, _, c in blocks] == [[1], [2], [3], [4], [5], [0]]
+    bounds = [(lo, hi) for lo, hi, _ in blocks]
+    assert bounds[0][0] == 0 and bounds[-1][1] == _age_terms(distinct)[0].size
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    # another source's displacement reads a staler coordinate: one block
+    shared = build_multi_source_homogeneous(200, 0, [0.5, 0.7], 1.0)
+    assert len(_age_blocks(shared)) == 1
+    for model in (distinct, shared):
+        v, aoi = dense_age(model)
+        assert np.max(np.abs(solve_age(model).v - v) / v) < 1e-12
+
+
+def test_singular_later_block_is_non_ergodic():
+    # a 130-state cycle: coordinate 1 resets on every move and is solvable,
+    # but coordinate 0 never resets, so the second block is singular
+    s = 130
+    state = np.arange(s)
+    m = ShsModel(
+        s, 2, state, (state + 1) % s, np.ones(s), np.tile([0, -1], (s, 1)), np.ones((s, 2))
+    )
+    assert [c.tolist() for _, _, c in _age_blocks(m)] == [[1], [0]]
+    with pytest.raises(NonErgodicError, match="age system singular"):
+        solve_age(m)
 
 
 def test_infinite_exit_rate_is_non_ergodic():
