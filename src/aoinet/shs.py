@@ -13,9 +13,8 @@ transition k: `source`, `target` (integer state indices) and `rate` of shape
 (T,), and `take` of shape (T, d), one reset map per row. The solver reads
 them with vectorized calls (np.bincount, np.subtract.at), which accumulate in
 row order, so the transition order fixes the rounding of every sum.
-`ShsTransition` is the record of one row, for writing small models by hand
-(`ShsModel.from_transitions`) and for reading a model row by row
-(`ShsModel.transitions`).
+A chain is written only as these arrays, which `ShsModel` checks; the
+`ShsTransition` records of `ShsModel.transitions` are a read view of its rows.
 
 Both linear systems have one form, diag * x = rhs + the sum of rate * x[unknown]
 over the terms (equation, unknown, rate), which `_matrix` assembles and
@@ -29,12 +28,10 @@ d - 1, 0, a block ending where no equation so far reads a later coordinate
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import positive_rate
 
 # solved systems must reproduce their equations to this relative residual
 RESIDUAL_RTOL = 1e-10
@@ -53,7 +50,7 @@ class NegativeSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShsTransition:
-    """One Markov transition: source state -> target state at `rate`.
+    """One Markov transition, row k of a model's arrays, read-only.
 
     The ages reset by x'[c] = x[take[c]], and x'[c] = 0 where take[c] = -1.
     """
@@ -63,22 +60,10 @@ class ShsTransition:
     rate: float
     take: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", positive_rate("transition rate", self.rate))
-        take = np.asarray(self.take)
-        if take.ndim != 1 or not _is_map(take):
-            raise ValueError("reset map must be a 1-D integer array in [-1, d)")
-        object.__setattr__(self, "take", take)
-
     @property
     def reset(self) -> np.ndarray:
         """The reset as the 0/1 matrix A of x' = x @ A: A[r, c] = 1 where take[c] == r."""
         return np.equal.outer(np.arange(self.take.size), self.take).astype(float)
-
-
-def _is_map(take: np.ndarray) -> bool:
-    """Integer entries in [-1, d), d being the length of the last axis."""
-    return take.dtype.kind in "iu" and bool(np.all((take >= -1) & (take < take.shape[-1])))
 
 
 @dataclass
@@ -112,7 +97,7 @@ class ShsModel:
             raise ValueError("transition arrays must have one entry per row of take")
         if not np.all(np.isfinite(rate) & (rate > 0)):
             raise ValueError("transition rate must be finite and > 0")
-        if not _is_map(take):
+        if take.dtype.kind not in "iu" or not np.all((take >= -1) & (take < take.shape[1])):
             raise ValueError("reset map must be a 1-D integer array in [-1, d)")
         for q in (source, target):
             if q.dtype.kind not in "iu" or not np.all((q >= 0) & (q < self.num_states)):
@@ -123,28 +108,6 @@ class ShsModel:
             a.astype(np.intp, copy=False) for a in (source, target, take)
         )
         self.rate = rate
-
-    @classmethod
-    def from_transitions(
-        cls,
-        num_states: int,
-        age_dim: int,
-        transitions: Iterable[ShsTransition],
-        growth: np.ndarray,
-    ) -> ShsModel:
-        """Pack ShsTransition records, in order, into a model's arrays."""
-        trans = tuple(transitions)
-        if any(t.take.shape != (age_dim,) for t in trans):
-            raise ValueError("reset map shape must be (age_dim,)")
-        return cls(
-            num_states,
-            age_dim,
-            source=np.array([t.source for t in trans], dtype=np.intp),
-            target=np.array([t.target for t in trans], dtype=np.intp),
-            rate=np.array([t.rate for t in trans], dtype=float),
-            take=np.array([t.take for t in trans], dtype=np.intp).reshape(-1, age_dim),
-            growth=growth,
-        )
 
     @property
     def transitions(self) -> Sequence[ShsTransition]:
@@ -287,14 +250,18 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
 
     Checks irreducibility by reachability first; one balance equation is
     replaced by normalization, and the full balance residual is verified on
-    the solution.
+    the solution. The solved matrix leaves out self-loops: they do not change
+    the balance, and their cancelling diagonal entries lose small rates.
     """
     if not _strongly_connected(model):
         raise NonErgodicError("chain is not irreducible")
-    diag, terms = model.exit_rates(), (model.target, model.source, model.rate)
-    if not np.all(np.isfinite(diag)):
-        raise NonErgodicError(f"exit rate {float(diag.max())!r} is not finite")
-    m = _matrix(diag, terms)
+    exits, terms = model.exit_rates(), (model.target, model.source, model.rate)
+    if not np.all(np.isfinite(exits)):
+        raise NonErgodicError(f"exit rate {float(exits.max())!r} is not finite")
+    moves = model.source != model.target
+    source, rate = model.source[moves], model.rate[moves]
+    diag = np.bincount(source, weights=rate, minlength=model.num_states)
+    m = _matrix(diag, (model.target[moves], source, rate))
     rhs = np.zeros(model.num_states)
     m[-1, :] = 1.0
     rhs[-1] = 1.0
@@ -303,7 +270,7 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
         raise NonErgodicError(f"stationary distribution has negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
-    worst = _residual(diag, terms, pi, 0.0)
+    worst = _residual(exits, terms, pi, 0.0)
     # a NaN residual fails too
     if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(

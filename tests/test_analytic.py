@@ -19,7 +19,7 @@ from aoinet.analytic import (
 )
 from aoinet.builders import build_heterogeneous_single_source, build_multi_source_homogeneous
 from aoinet.cli import main
-from aoinet.shs import NonErgodicError, solve_age
+from aoinet.shs import solve_age
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,13 +190,18 @@ def test_three_distinct_servers_match_the_chain(scale, exponents):
     lams, mus = rates[:3], rates[3:]
     with no_chain():
         aoi = aoi_hetero_n3(lams, mus)
-    try:
-        chain = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
-    except NonErgodicError as e:
-        # the chain's balance check refuses some ergodic chains at spans near
-        # 1e4, where the state it normalizes on has a mass near 1e-8
-        assert str(e).startswith("balance residual"), e
-        return
+    chain = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
+    assert abs(aoi - chain) <= 1e-12 * chain
+
+
+@pytest.mark.parametrize("lam, mu", [(3.2e4, 3.2), (10**4.5, 10**0.5)], ids=["3.2e4", "1e4.5"])
+def test_three_distinct_servers_wide_arrival_span(lam, mu):
+    # the state the balance solve normalizes on has a mass near 1e-8 here,
+    # which a self-loop's rate, put on the diagonal and taken off, would lose
+    lams, mus = [lam, mu, mu], [mu] * 3
+    with no_chain():
+        aoi = aoi_hetero_n3(lams, mus)
+    chain = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
     assert abs(aoi - chain) <= 1e-12 * chain
 
 

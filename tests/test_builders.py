@@ -12,13 +12,13 @@ from aoinet.builders import (
     build_multi_source_homogeneous,
     build_single_source_homogeneous,
 )
-from aoinet.shs import ShsModel, ShsTransition, solve_age, stationary_distribution
+from aoinet.shs import ShsModel, solve_age, stationary_distribution
 
 _RATE = st.floats(0.1, 10.0)
 
 
 def transition_key(t):
-    return (round(t.rate, 12), t.source, t.target, t.reset.tobytes())
+    return (round(t.rate, 12), t.source, t.target, tuple(t.take.tolist()))
 
 
 def test_single_source_shape():
@@ -43,11 +43,11 @@ def test_single_source_two_server_resets():
     deliveries = [t for t in m.transitions if t.rate == mu]
     assert len(arrivals) == 2 and len(deliveries) == 2
     # fresh update displacing the freshest in-flight copy, then the stalest
-    assert np.array_equal(arrivals[0].reset, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
-    assert np.array_equal(arrivals[1].reset, [[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert np.array_equal(arrivals[0].take, [0, -1, 2])
+    assert np.array_equal(arrivals[1].take, [0, -1, 1])
     # delivery of the freshest copy, then of the stalest
-    assert np.array_equal(deliveries[0].reset, [[0, 0, 0], [1, 1, 1], [0, 0, 0]])
-    assert np.array_equal(deliveries[1].reset, [[0, 0, 0], [0, 1, 0], [1, 0, 1]])
+    assert np.array_equal(deliveries[0].take, [1, 1, 1])
+    assert np.array_equal(deliveries[1].take, [2, 1, 2])
 
 
 def test_single_source_rejects_bad_args():
@@ -91,8 +91,8 @@ def test_multi_source_displacement_reset():
     assert len(disp) == 2
     # other-source update bumps the occupant of the slot; a copy that would
     # only re-deliver the monitor's current age appears as the stalest entry
-    assert np.array_equal(disp[0].reset, [[1, 0, 1], [0, 0, 0], [0, 1, 0]])
-    assert np.array_equal(disp[1].reset, [[1, 0, 1], [0, 1, 0], [0, 0, 0]])
+    assert np.array_equal(disp[0].take, [0, 2, 0])
+    assert np.array_equal(disp[1].take, [0, 1, 0])
 
 
 def _arrival_take(d, slot):
@@ -226,22 +226,18 @@ def test_hetero_two_server_transitions():
     expected = [
         # arrivals renew a server and move it to the freshest rank; the maps
         # act on ranks, so they depend on the server's rank, not its label
-        (lam1, 0, 0, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
-        (lam1, 1, 0, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
-        (lam2, 0, 1, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
-        (lam2, 1, 1, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
+        (lam1, 0, 0, (0, -1, 2)),
+        (lam1, 1, 0, (0, -1, 1)),
+        (lam2, 0, 1, (0, -1, 1)),
+        (lam2, 1, 1, (0, -1, 2)),
         # deliveries refresh the monitor and every rank at or below the sender
-        (mu1, 0, 0, [[0, 0, 0], [1, 1, 1], [0, 0, 0]]),
-        (mu1, 1, 1, [[0, 0, 0], [0, 1, 0], [1, 0, 1]]),
-        (mu2, 0, 0, [[0, 0, 0], [0, 1, 0], [1, 0, 1]]),
-        (mu2, 1, 1, [[0, 0, 0], [1, 1, 1], [0, 0, 0]]),
+        (mu1, 0, 0, (1, 1, 1)),
+        (mu1, 1, 1, (2, 1, 2)),
+        (mu2, 0, 0, (2, 1, 2)),
+        (mu2, 1, 1, (1, 1, 1)),
     ]
     got = sorted(map(transition_key, m.transitions))
-    want = sorted(
-        (round(r, 12), s, t, np.asarray(a, dtype=float).tobytes())
-        for r, s, t, a in expected
-    )
-    assert got == want
+    assert got == sorted((round(r, 12), s, t, take) for r, s, t, take in expected)
 
 
 def test_hetero_two_server_age_identities():
@@ -364,7 +360,7 @@ def test_hetero_validation():
 
 
 def hetero_oracle(lams, mus):
-    """The distinct-server chain written one transition record at a time.
+    """The distinct-server chain written one transition row at a time.
 
     A plain loop over orderings and servers, kept as the reference for the
     array builder: same states, same transitions, same order. Coordinate
@@ -374,7 +370,7 @@ def hetero_oracle(lams, mus):
     states = list(itertools.permutations(range(n)))
     index = {p: q for q, p in enumerate(states)}
     d = n + 1
-    transitions = []
+    rows = []
     for q, perm in enumerate(states):
         for j in range(n):
             # server j's age resets to zero at the freshest rank, and the
@@ -384,14 +380,15 @@ def hetero_oracle(lams, mus):
             take[1] = -1
             take[2 : rank + 2] = np.arange(1, rank + 1)
             target = index[(j,) + tuple(k for k in perm if k != j)]
-            transitions.append(ShsTransition(q, target, lams[j], take))
+            rows.append((q, target, lams[j], take))
         for rank, j in enumerate(perm):
             # the monitor and every rank at or staler than j's take its age
             take = np.arange(d)
             take[0] = rank + 1
             take[rank + 1 :] = rank + 1
-            transitions.append(ShsTransition(q, q, mus[j], take))
-    return ShsModel.from_transitions(len(states), d, transitions, np.ones((len(states), d)))
+            rows.append((q, q, mus[j], take))
+    source, target, rate, take = zip(*rows)
+    return ShsModel(len(states), d, source, target, rate, take, np.ones((len(states), d)))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -16,7 +16,6 @@ from aoinet.shs import (
     NegativeSolutionError,
     NonErgodicError,
     ShsModel,
-    ShsTransition,
     _age_blocks,
     _age_terms,
     _matrix,
@@ -30,31 +29,7 @@ from aoinet.shs import (
 
 
 def two_state_cycle(r01=1.0, r10=2.0):
-    keep = [0, 1]
-    return ShsModel.from_transitions(
-        2,
-        2,
-        (ShsTransition(0, 1, r01, keep), ShsTransition(1, 0, r10, keep)),
-        np.ones((2, 2)),
-    )
-
-
-def test_transition_rejects_bad_rate():
-    with pytest.raises(ValueError, match="rate"):
-        ShsTransition(0, 0, 0.0, [0, 1])
-    with pytest.raises(ValueError, match="rate"):
-        ShsTransition(0, 0, float("nan"), [0, 1])
-
-
-@pytest.mark.parametrize(
-    "take",
-    [[0, 2], [-2, 0], [0.0, 1.0], [0.5, 1], [True, False], np.eye(2, dtype=int)],
-    ids=["past-end", "below-minus-one", "float", "fraction", "bool", "matrix"],
-)
-def test_transition_rejects_bad_map(take):
-    # out of range, non-integer (never truncated), or not a 1-D map at all
-    with pytest.raises(ValueError, match="reset map"):
-        ShsTransition(0, 0, 1.0, take)
+    return ShsModel(2, 2, [0, 1], [1, 0], [r01, r10], [[0, 1], [0, 1]], np.ones((2, 2)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -68,27 +43,23 @@ def test_transition_rejects_bad_map(take):
 )
 def test_reset_matrix_applies_the_map(case):
     take, x = (np.array(a) for a in case)
-    t = ShsTransition(0, 0, 1.0, take)
+    t = ShsModel(1, take.size, [0], [0], [1.0], [take], np.ones((1, take.size))).transitions[0]
     assert np.array_equal(x @ t.reset, np.where(take >= 0, x[take], 0.0))
 
 
 def test_model_rejects_out_of_range_state():
     with pytest.raises(ValueError, match="out of range"):
-        ShsModel.from_transitions(
-            1, 2, (ShsTransition(0, 1, 1.0, [0, 1]),), np.ones((1, 2))
-        )
+        ShsModel(1, 2, [0], [1], [1.0], [[0, 1]], np.ones((1, 2)))
 
 
 def test_model_rejects_bad_growth_shape():
     with pytest.raises(ValueError, match="growth"):
-        ShsModel.from_transitions(2, 2, (), np.ones((2, 3)))
+        ShsModel(2, 2, [], [], [], np.zeros((0, 2), dtype=int), np.ones((2, 3)))
 
 
 def test_model_rejects_reset_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        ShsModel.from_transitions(
-            1, 3, (ShsTransition(0, 0, 1.0, [0, 1]),), np.ones((1, 3))
-        )
+        ShsModel(1, 3, [0], [0], [1.0], [[0, 1]], np.ones((1, 3)))
 
 
 def array_model(**change):
@@ -106,36 +77,35 @@ def array_model(**change):
         (dict(take=[[0, 2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
         (dict(take=[[0, -2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
         (dict(take=[[0.0, 1.0], [0.0, 1.0]]), "reset map must be a 1-D integer array"),
+        (dict(take=[[True, False], [False, True]]), "reset map must be a 1-D integer array"),
         (dict(source=[0, 2]), "transition state index out of range"),
         (dict(target=[-1, 0]), "transition state index out of range"),
         (dict(source=[0.0, 1.0]), "transition state index out of range"),
         (dict(take=[[0, 1, 2], [0, 1, 2]]), "reset map shape must be (age_dim,)"),
         (dict(rate=[1.0]), "one entry per row of take"),
         (dict(take=[0, 1]), "one entry per row of take"),
+        (dict(take=np.zeros((2, 2, 2), dtype=int)), "one entry per row of take"),
     ],
     ids=[
-        "zero-rate", "nan-rate", "map-past-end", "map-below-minus-one", "float-map",
+        "zero-rate", "nan-rate", "map-past-end", "map-below-minus-one", "float-map", "bool-map",
         "source-past-end", "negative-target", "float-source", "map-width", "short-rate",
-        "flat-take",
+        "flat-take", "3-d-take",
     ],
 )
 def test_model_validates_its_arrays(change, message):
-    # the array checks keep the messages of the per-record checks
+    # out of range, non-integer (never truncated), or not one map per row
     with pytest.raises(ValueError, match=re.escape(message)):
         array_model(**change)
 
 
 def test_transitions_view_yields_the_packed_records():
-    records = [
-        ShsTransition(0, 1, 1.0, [0, 1]),
-        ShsTransition(1, 0, 2.0, [0, -1]),
-        ShsTransition(1, 1, 0.5, [-1, 0]),
-    ]
-    m = ShsModel.from_transitions(2, 2, records, np.ones((2, 2)))
+    m = array_model(source=[0, 1, 1], target=[1, 0, 1], rate=[1.0, 2.0, 0.5],
+                    take=[[0, 1], [0, -1], [-1, 0]])
     assert len(m.transitions) == 3
-    got = [(t.source, t.target, t.rate, t.take.tolist()) for t in m.transitions]
-    assert got == [(t.source, t.target, t.rate, t.take.tolist()) for t in records]
-    assert np.array_equal(m.transitions[-1].reset, records[-1].reset)
+    for k, t in enumerate(m.transitions):
+        assert (t.source, t.target, t.rate) == (m.source[k], m.target[k], m.rate[k])
+        assert [type(x) for x in (t.source, t.target, t.rate)] == [int, int, float]
+        assert np.array_equal(t.take, m.take[k])
 
 
 def loop_reference(model):
@@ -179,9 +149,10 @@ def test_vectorized_sums_match_the_transition_loop(case):
     # np.bincount and np.subtract.at add in row order, as the loop does, so
     # the results are equal to the bit
     s, edges = case
-    m = ShsModel.from_transitions(
-        s, 1, [ShsTransition(a, b, r, [0]) for a, b, r in edges], np.ones((s, 1))
-    )
+    e = np.array(edges, dtype=float).reshape(-1, 3)
+    source, target = e[:, :2].T.astype(int)
+    m = ShsModel(s, 1, source, target, e[:, 2], np.zeros((e.shape[0], 1), dtype=int),
+                 np.ones((s, 1)))
     exit_rates, balance, connected = loop_reference(m)
     assert m.exit_rates().tobytes() == exit_rates.tobytes()
     balance_terms = (m.target, m.source, m.rate)
@@ -195,9 +166,7 @@ def test_exit_rates_sum_per_state():
 
 
 def test_stationary_single_state():
-    m = ShsModel.from_transitions(
-        1, 2, (ShsTransition(0, 0, 3.0, [0, 1]),), np.ones((1, 2))
-    )
+    m = ShsModel(1, 2, [0], [0], [3.0], [[0, 1]], np.ones((1, 2)))
     assert np.allclose(stationary_distribution(m), [1.0])
 
 
@@ -209,28 +178,14 @@ def test_stationary_two_state_cycle():
 
 
 def test_stationary_rejects_reducible_chain():
-    m = ShsModel.from_transitions(
-        2,
-        1,
-        (ShsTransition(0, 1, 1.0, [0]), ShsTransition(1, 1, 1.0, [0])),
-        np.ones((2, 1)),
-    )
+    m = ShsModel(2, 1, [0, 1], [1, 1], [1.0, 1.0], [[0], [0]], np.ones((2, 1)))
     with pytest.raises(NonErgodicError, match="irreducible"):
         stationary_distribution(m)
 
 
 def test_balance_residual_is_termwise():
     # opposing flows that cancel to ~0 must not inflate the relative residual
-    m = ShsModel.from_transitions(
-        1,
-        2,
-        (
-            ShsTransition(0, 0, 1.3, [0, 1]),
-            ShsTransition(0, 0, 0.7, [0, 1]),
-            ShsTransition(0, 0, 2.0, [0, 1]),
-        ),
-        np.ones((1, 2)),
-    )
+    m = ShsModel(1, 2, [0, 0, 0], [0, 0, 0], [1.3, 0.7, 2.0], [[0, 1]] * 3, np.ones((1, 2)))
     assert balance_residual(m, np.array([1.0])) < 1e-15
 
 
@@ -391,16 +346,14 @@ def test_rate_scaling_inverts_age():
 
 def test_solve_age_singular_age_system():
     # self-loop that preserves the growing coordinate: no finite expectation
-    m = ShsModel.from_transitions(1, 1, (ShsTransition(0, 0, 1.0, [0]),), np.ones((1, 1)))
+    m = ShsModel(1, 1, [0], [0], [1.0], [[0]], np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(m)
 
 
 def test_solve_age_non_finite_solution():
     # a subnormal reset rate is not exactly singular, but its age overflows
-    m = ShsModel.from_transitions(
-        1, 1, (ShsTransition(0, 0, 1e-320, [-1]),), np.ones((1, 1))
-    )
+    m = ShsModel(1, 1, [0], [0], [1e-320], [[-1]], np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="not finite"):
         solve_age(m)
 

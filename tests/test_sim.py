@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aoinet.analytic import aoi_multi_source_n2
 from aoinet.model import NetworkConfig
-from aoinet.shs import ShsModel, ShsTransition, solve_age
+from aoinet.shs import ShsModel, solve_age
 from aoinet.sim import (
     _ENGINES,
     SimParams,
@@ -401,15 +401,15 @@ def lcfs_w_reference_model(lam, mu):
     new_waiter = [0, 1, -1]
     deliver_to_idle = [1, -1, -1]
     deliver_promote = [1, 2, -1]
-    transitions = (
-        ShsTransition(0, 1, lam, fresh_service),
-        ShsTransition(1, 2, lam, new_waiter),
-        ShsTransition(1, 0, mu, deliver_to_idle),
-        ShsTransition(2, 2, lam, new_waiter),
-        ShsTransition(2, 1, mu, deliver_promote),
+    return ShsModel(
+        3,
+        3,
+        source=[0, 1, 1, 2, 2],
+        target=[1, 2, 0, 2, 1],
+        rate=[lam, lam, mu, lam, mu],
+        take=[fresh_service, new_waiter, deliver_to_idle, new_waiter, deliver_promote],
+        growth=[[1, 0, 0], [1, 1, 0], [1, 1, 1]],
     )
-    growth = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    return ShsModel.from_transitions(3, 3, transitions, growth)
 
 
 def test_lcfs_w_single_server_reference():
