@@ -38,6 +38,9 @@ RESIDUAL_RTOL = 1e-10
 # expected ages below this are a modeling error, not noise
 NEGATIVE_ATOL = 1e-9
 BLOCK_UNKNOWNS = 128  # age-system blocks are merged up to about this many unknowns
+# past this max rate / min rate the age solve loses the smaller rates' terms:
+# one source on three distinct servers was 8e-10 off at 1e8 and 3e-3 at 1e14
+MAX_RATE_SPAN = 1e6
 
 
 class NonErgodicError(RuntimeError):
@@ -284,9 +287,16 @@ def solve_age(model: ShsModel) -> ShsSolution:
 
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
-    average age is the sum of v[:, 0].
+    average age is the sum of v[:, 0]. A chain whose rates span more than
+    MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
     """
     pi = stationary_distribution(model)
+    span = float(model.rate.max()) / float(model.rate.min())
+    if not span <= MAX_RATE_SPAN:
+        raise ValueError(
+            f"rate span {span:.3g} (max rate / min rate) is above {MAX_RATE_SPAN:g}, "
+            f"where the age solve loses the smaller rates"
+        )
     diag = np.repeat(model.exit_rates(), model.age_dim)
     eq, unknown, rate, blocks = _age_terms(model)
     terms, rhs = (eq, unknown, rate), (model.growth * pi[:, None]).ravel()

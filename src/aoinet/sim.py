@@ -1,29 +1,45 @@
 """Discrete-event simulation of the update network with exact age accounting.
 
-Servers share no queue state, so a kernel simulates each server's queue on
-its own: its merged Poisson arrival times in, and out the delivery times and
-the integer indices of the delivered arrivals, both in delivery order. Only
-`simulate` knows which source sent an arrival; it splits the deliveries into
-one stream per source. Per-source age is the exact integral of the
-piecewise-linear sawtooth, never a sampled approximation.
+The run steps through (0, horizon] in time windows of equal length, each
+expecting about `_WINDOW_ARRIVALS` arrivals at the busiest server; the last
+one ends at the horizon. Each stage is an object that takes one window's
+input and returns that window's output, and keeps only a few values across
+the window edge, so memory does not grow with the horizon:
+
+- An arrival stream (`_Arrivals`) returns its Poisson times up to the
+  window's end and holds back the ones it drew past it.
+- A kernel simulates one server's queue: its merged arrival times (and
+  their sources) in, and out the deliveries it completes by the window's
+  end, as delivery time, generation time and source, in delivery order.
+  Servers share no queue state. lcfs-s carries the update in service,
+  lcfs-w the update in service and the waiter, and fcfs the updates still
+  queued with its service cumsum's total and running max.
+- `simulate` splits each server's deliveries by source and merges each
+  source's over the servers in time order, ties in server order; deliveries
+  later than the window's end wait in their kernel for the next window. The
+  source's `_Sawtooth` integrates them: the exact integral of the
+  piecewise-linear age, never a sampled approximation. It carries the
+  generation level, the last cut and the per-batch sums.
 
 Randomness comes from counter-based keyed streams: one per (source, server)
 arrival process and one per server's service process, so any one stream's
-draws are identical no matter what the rest of the system does.
+draws are identical no matter what the rest of the system does, and drawing
+a stream in pieces gives the values of one call.
 
-Every kernel is vectorized over a server's arrivals. lcfs-s and fcfs draw one
-service time per arrival. lcfs-w, whose service starts depend on earlier
-completions, uses a uniformized clock instead: exponential service is
-memoryless, so a busy server completes at the ticks of a rate-mu Poisson
-clock, and only the first two ticks after each arrival can change the state.
-Its service stream holds 2n draws for n arrivals: the first-tick offsets
-after each arrival, then the second-tick offsets after each first tick.
+Every kernel is vectorized over a window's arrivals. lcfs-s and fcfs draw
+one service time per arrival. lcfs-w, whose service starts depend on
+earlier completions, uses a uniformized clock instead: exponential service
+is memoryless, so a busy server completes at the ticks of a rate-mu Poisson
+clock, and only the first two ticks after each arrival can change the
+state. Its service stream holds one (first-tick, second-tick) pair of
+offsets per arrival, in arrival order, so no draw depends on the number of
+arrivals or on the window length.
 
-After the kernels, each delivery costs O(1) apart from one stable lexsort
-keyed by narrow source label, then delivery time. It makes the stream
-source-major, so each source's deliveries come out as one nondecreasing slice
-(ties in server order), and the sawtooth integral over it needs no further
-sort or search.
+Results do not depend on the window length either: each running sum or
+maximum that spans windows (arrival times, the fcfs service cumsum and
+running max, the generation level, the per-batch sums) takes the earlier
+windows' total in as its first term, so a windowed run makes the
+operations of one pass over the whole horizon in the same order.
 """
 from __future__ import annotations
 
@@ -36,6 +52,11 @@ from .model import NetworkConfig, QueueDiscipline
 
 _Z95 = 1.96
 _MASK64 = (1 << 64) - 1
+# a window's expected arrivals at the busiest server, so about the rows of a
+# window's largest arrays
+_WINDOW_ARRIVALS = 2**14
+# from 2^52 expected arrivals on, float64 times no longer separate them
+_MAX_ARRIVALS = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -88,133 +109,261 @@ def _stream(seed: int, sid: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _poisson_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """All event times of a Poisson process in (0, horizon]."""
-    if rate <= 0.0:
-        return np.empty(0)
+def _expected_arrivals(rate: float, horizon: float) -> float:
+    """rate * horizon, refused where float64 times could not hold the arrivals."""
     expected = rate * horizon
     if not math.isfinite(expected):
         raise ValueError(f"arrival rate {rate:g} times horizon {horizon:g} is not finite")
-    chunk = int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16
-    pieces = []
-    last = 0.0
-    while last <= horizon:
-        try:
-            draws = rng.exponential(1.0 / rate, size=chunk)
-        except (ValueError, MemoryError):
-            # numpy's own message names neither input
-            raise ValueError(
-                f"arrival rate {rate:g} times horizon {horizon:g} expects "
-                f"too many arrivals to draw ({expected:.3g})"
-            ) from None
-        cum = np.cumsum(draws) + last
-        pieces.append(cum)
-        last = float(cum[-1])
-    t = np.concatenate(pieces)
-    # a cumsum of nonnegative draws is sorted
-    return t[: np.searchsorted(t, horizon, side="right")]
+    if expected >= _MAX_ARRIVALS:
+        raise ValueError(
+            f"arrival rate {rate:g} times horizon {horizon:g} expects "
+            f"too many arrivals to draw ({expected:.3g})"
+        )
+    return expected
 
 
-def _deliveries_lcfs_s(t, svc_rng, mu, horizon):
-    # every arrival enters service at once; it survives iff it finishes
-    # before the next arrival preempts it (the horizon for the last one)
-    done = t + svc_rng.exponential(1.0 / mu, size=t.size)
-    who = np.flatnonzero(done <= np.append(t[1:], horizon))
-    return done[who], who
+def _after(carried: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The rows carried from the last window, then this window's."""
+    return np.concatenate((carried, new)) if carried.size else new
 
 
-def _deliveries_fcfs(t, svc_rng, mu, horizon):
-    svc = svc_rng.exponential(1.0 / mu, size=t.size)
-    tot = np.cumsum(svc)
-    # done_k = max over j<=k of (t_j + svc_j + ... + svc_k)
-    done = tot + np.maximum.accumulate(t - (tot - svc))
-    who = np.flatnonzero(done <= horizon)
-    return done[who], who
+def _draw_count(expected: float) -> int:
+    # enough draws for all but a 10-sigma excess of Poisson arrivals
+    return int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16
 
 
-def _deliveries_lcfs_w(t, svc_rng, mu, horizon):
-    # The uniformized clock of the module docstring. Arrival k leaves the
-    # server busy, with k waiting iff it found the server busy (w[k]). In the
-    # gap to the next arrival (the horizon for the last one) tick 1 completes
-    # the service in progress and promotes the waiter, and tick 2 completes
-    # that waiter. A tick at the next arrival counts in the gap, so a
-    # completion comes before an arrival at the same instant. e[:n] are the
-    # first-tick offsets from each arrival, e[n:] the second-tick offsets.
-    n = t.size
-    e = svc_rng.exponential(1.0 / mu, size=2 * n)
-    k = np.arange(n)
-    # the forward fill below needs one arrival
-    if n == 0:
-        return t, k
-    end = np.append(t[1:], horizon)
-    x1 = t + e[:n]
-    x2 = x1 + e[n:]
-    f1 = x1 <= end
-    f2 = x2 <= end
-    # w[k + 1] is True after a gap with no tick, False after two ticks and
-    # w[k] after one: forward-fill from the last gap that fixed it
-    fixed = np.concatenate(([True], ~f1[:-1] | f2[:-1]))
-    busy = np.concatenate(([False], ~f1[:-1]))
-    w = busy[np.maximum.accumulate(np.where(fixed, k, 0))]
-    # tick 1 completes arrival k itself if k found the server idle, else the
-    # latest earlier arrival that started service (it found the server idle,
-    # or tick 1 of its own gap promoted it)
-    started = np.maximum.accumulate(np.where(~w | f1, k, 0))
-    first = np.where(w, np.concatenate(([0], started[:-1])), k)
-    # deliveries in gap order: row k holds the first and second tick of gap k
-    keep = np.stack((f1, f2 & w), axis=1)
-    return np.stack((x1, x2), axis=1)[keep], np.stack((first, k), axis=1)[keep]
+class _Arrivals:
+    """The event times of one Poisson process in (0, horizon], a window at a time.
+
+    A time is the running sum of exponential draws within a chunk of
+    `_draw_count(rate * horizon)` draws, plus the time the chunk starts from.
+    A chunk is drawn in pieces of about a window's count, and each piece's
+    cumsum takes the chunk's running sum in first, so the additions are those
+    of one cumsum over the chunk.
+    """
+
+    def __init__(self, rng: np.random.Generator, rate: float, horizon: float, windows: int):
+        self.rng, self.rate = rng, rate
+        self.chunk = _draw_count(rate * horizon)
+        self.piece = _draw_count(rate * horizon / windows)
+        self.base = self.run = 0.0  # the chunk's start time and running sum
+        self.left = self.chunk  # the chunk's draws to go
+        self.ahead = np.empty(0)  # times drawn past the last window's end
+
+    def until(self, end: float) -> np.ndarray:
+        """The times up to `end` that no earlier call returned."""
+        ahead = self.ahead
+        while self.rate > 0.0 and (ahead.size == 0 or ahead[-1] <= end):
+            draws = self.rng.exponential(1.0 / self.rate, size=min(self.piece, self.left))
+            # the chunk's running sum is the first term
+            draws[0] += self.run
+            cum = np.cumsum(draws, out=draws)
+            self.run, self.left = float(cum[-1]), self.left - cum.size
+            cum += self.base
+            ahead = _after(ahead, cum)
+            if self.left == 0:
+                self.base, self.run, self.left = float(ahead[-1]), 0.0, self.chunk
+        k = int(ahead.searchsorted(end, side="right"))
+        self.ahead = ahead[k:].copy()
+        return ahead[:k]
+
+
+# A kernel simulates one server's queue a window at a time. Its `deliver`
+# takes the window's arrival times (nondecreasing) and their source labels,
+# and returns the deliveries completed by the window's end, as delivery
+# times, generation times and sources, in delivery order. Its rows are the
+# updates that hold or may take the server: those carried from the last
+# window first, then the window's arrivals; it keeps the carried rows' times
+# and sources, and the few values its next window needs. It is built from
+# its service stream, its service rate and the source labels, whose type the
+# carried sources keep.
+
+
+class _LcfsS:
+    # Every arrival enters service at once; it is delivered iff it finishes
+    # no later than the next arrival preempts it (the horizon for the last
+    # one). Carried: the last row, while it has not finished.
+
+    def __init__(self, svc_rng: np.random.Generator, mu: float, labels: np.ndarray):
+        self.rng, self.scale = svc_rng, 1.0 / mu
+        self.t, self.s, self.done = np.empty(0), labels[:0], np.empty(0)
+
+    def deliver(self, t, s, end):
+        done = _after(self.done, t + self.rng.exponential(self.scale, size=t.size))
+        t, s = _after(self.t, t), _after(self.s, s)
+        who = (done <= np.append(t[1:], end)).nonzero()[0]
+        rows = t.size - 1 + (done[-1:] > end).nonzero()[0]
+        self.t, self.s, self.done = t[rows], s[rows], done[rows]
+        return done[who], t[who], s[who]
+
+
+class _Fcfs:
+    # done_k = max over j <= k of (t_j + svc_j + ... + svc_k). done is
+    # nondecreasing, so the rows still queued at the window's end are the
+    # last ones. Carried: those rows with their finish times, and the service
+    # cumsum's total and running max, which the next window's cumsum and
+    # running max take in first.
+
+    def __init__(self, svc_rng: np.random.Generator, mu: float, labels: np.ndarray):
+        self.rng, self.scale = svc_rng, 1.0 / mu
+        self.t, self.s, self.done = np.empty(0), labels[:0], np.empty(0)
+        self.tot, self.top = np.zeros(1), np.full(1, -np.inf)
+
+    def deliver(self, t, s, end):
+        svc = self.rng.exponential(self.scale, size=t.size)
+        tot = np.cumsum(np.concatenate((self.tot, svc)))
+        top = np.maximum.accumulate(np.concatenate((self.top, t - (tot[1:] - svc))))
+        self.tot, self.top = tot[-1:].copy(), top[-1:].copy()
+        done = _after(self.done, tot[1:] + top[1:])
+        t, s = _after(self.t, t), _after(self.s, s)
+        k = int(done.searchsorted(end, side="right"))
+        self.t, self.s, self.done = t[k:].copy(), s[k:].copy(), done[k:].copy()
+        return done[:k], t[:k], s[:k]
+
+
+class _LcfsW:
+    # The uniformized clock of the module docstring. Row k leaves the server
+    # busy, with k waiting iff it found the server busy (w[k]). In the gap to
+    # the next row (the window's end for the last one) tick 1 completes the
+    # service in progress and promotes the waiter, and tick 2 completes that
+    # waiter. A tick at the next arrival counts in the gap, so a completion
+    # comes before an arrival at the same instant. x1[k] and x2[k] are gap
+    # k's tick times. Carried: the rows the last gap's ticks have not
+    # completed, the last one with the ticks still to come and an earlier
+    # one (in service, so the row after it finds the server busy) with none.
+    # The first row always finds the server idle.
+
+    def __init__(self, svc_rng: np.random.Generator, mu: float, labels: np.ndarray):
+        self.rng, self.scale = svc_rng, 1.0 / mu
+        self.t, self.s, self.x1, self.x2 = np.empty(0), labels[:0], np.empty(0), np.empty(0)
+
+    def deliver(self, t, s, end):
+        # one (first-tick, second-tick) offset pair per arrival
+        e = self.rng.exponential(self.scale, size=(t.size, 2))
+        x1 = t + e[:, 0]
+        x1, x2 = _after(self.x1, x1), _after(self.x2, x1 + e[:, 1])
+        t, s = _after(self.t, t), _after(self.s, s)
+        if t.size == 0:
+            # no update holds the server
+            return t, t, s
+        k = np.arange(t.size)
+        gap_end = np.append(t[1:], end)
+        f1 = x1 <= gap_end
+        f2 = x2 <= gap_end
+        # w[k + 1] is True after a gap with no tick, False after two ticks and
+        # w[k] after one: forward-fill from the last gap that fixed it
+        fixed = np.concatenate(([True], ~f1[:-1] | f2[:-1]))
+        busy = np.concatenate(([False], ~f1[:-1]))
+        w = busy[np.maximum.accumulate(np.where(fixed, k, 0))]
+        # tick 1 completes row k itself if k found the server idle, else the
+        # latest earlier row that started service (it found the server idle,
+        # or tick 1 of its own gap promoted it)
+        started = np.maximum.accumulate(np.where(~w | f1, k, 0))
+        first = np.where(w, np.concatenate(([0], started[:-1])), k)
+        # deliveries in gap order: row k holds the first and second tick of gap k
+        pair = np.stack((first, k), axis=1)
+        keep = np.stack((f1, f2 & w), axis=1)
+        rows = pair[-1][~keep[-1] & [True, w[-1]]]
+        self.t, self.s = t[rows], s[rows]
+        self.x1, self.x2 = np.full((2, rows.size), np.inf)
+        if rows.size:
+            ticks = [x for x, fired in ((x1[-1], f1[-1]), (x2[-1], f2[-1])) if not fired]
+            self.x1[-1], self.x2[-1] = (*ticks, np.inf)[:2]
+        who = pair[keep]
+        return np.stack((x1, x2), axis=1)[keep], t[who], s[who]
 
 
 _ENGINES = {
-    QueueDiscipline.LCFS_S: _deliveries_lcfs_s,
-    QueueDiscipline.LCFS_W: _deliveries_lcfs_w,
-    QueueDiscipline.FCFS: _deliveries_fcfs,
+    QueueDiscipline.LCFS_S: _LcfsS,
+    QueueDiscipline.LCFS_W: _LcfsW,
+    QueueDiscipline.FCFS: _Fcfs,
 }
 
 
-def _integrate_source(dt, dg, warmup, horizon, batches):
-    """Exact sawtooth statistics for one source given its delivery stream.
+class _Sawtooth:
+    """Exact sawtooth statistics for one source, a window at a time.
 
-    dt/dg are this source's delivery and generation times in delivery order
-    over the whole run, so dt must be nondecreasing; the monitor starts fresh
-    (generation 0) at time 0. Runs in time linear in the deliveries: the
-    window is a slice of dt, and the batch edges are merged into it by
-    position, with no sort.
+    The monitor starts fresh (generation 0) at time 0. Each window runs in
+    time linear in its deliveries: its part of (warmup, horizon) is a slice
+    of its delivery times, and the batch edges are merged into it by
+    position, with no sort. Carried: the generation level, the last cut
+    (whose segment the next cut closes) with its level and batch, and the
+    per-batch sums, which the next window's bincount takes in first.
     """
-    # level[k]: the freshest generation among the first k deliveries (0 at k = 0)
-    level = np.maximum.accumulate(np.concatenate(([0.0], dg)))
-    useful = dg > level[:-1]
-    lo = int(np.searchsorted(dt, warmup, side="right"))
-    hi = int(np.searchsorted(dt, horizon, side="left"))
-    n_deliveries = dt.size - lo
-    n_useful = int(np.count_nonzero(useful[lo:]))
 
-    # useful deliveries strictly inside (warmup, horizon) cut the sawtooth
-    inner = useful[lo:hi]
-    t_in = dt[lo:hi][inner]
-    g_in = dg[lo:hi][inner]
-    edges = warmup + (horizon - warmup) * np.arange(batches + 1) / batches
-    # pos[e]: inner deliveries at or before edge e; the edge goes after them
-    pos = np.searchsorted(t_in, edges, side="right")
-    # generation level at each edge: that of the last inner delivery at or
-    # before it, or the level the window opens with
-    edge_g = np.concatenate(([level[lo]], g_in))[pos]
-    cuts = np.insert(t_in, pos, edges)
-    g = np.insert(g_in, pos, edge_g)[:-1]
-    left = cuts[:-1]
-    right = cuts[1:]
-    contrib = 0.5 * ((right - g) ** 2 - (left - g) ** 2)
-    # each edge opens its batch's segments; any cut after the last edge
-    # stays in the last batch
-    per_edge = np.diff(pos, append=t_in.size) + 1
-    bidx = np.repeat(np.minimum(np.arange(batches + 1), batches - 1), per_edge)[:-1]
-    per_batch = np.bincount(bidx, weights=contrib, minlength=batches)
-    width = (horizon - warmup) / batches
-    means = per_batch / width
-    aoi = float(per_batch.sum() / (horizon - warmup))
-    ci = float(_Z95 * means.std(ddof=1) / math.sqrt(batches))
-    return aoi, ci, n_deliveries, n_useful
+    def __init__(self, warmup: float, horizon: float, batches: int):
+        self.warmup, self.horizon, self.batches = warmup, horizon, batches
+        self.edges = warmup + (horizon - warmup) * np.arange(batches + 1) / batches
+        self.edge = 0  # the next edge to cut at
+        self.level = np.zeros(1)
+        self.cut_t, self.cut_g, self.cut_b = np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
+        self.per_batch = np.zeros(batches)
+        self.deliveries = self.useful = 0
+
+    def add(self, dt, dg, end):
+        """Take this source's delivery and generation times up to `end`, dt
+        nondecreasing and after the last window's end."""
+        warmup, horizon, batches = self.warmup, self.horizon, self.batches
+        # level[k]: the freshest generation among the deliveries before k
+        level = np.maximum.accumulate(np.concatenate((self.level, dg)))
+        useful = dg > level[:-1]
+        lo = int(dt.searchsorted(warmup, side="right"))
+        hi = int(dt.searchsorted(horizon, side="left"))
+        self.level = level[-1:].copy()
+        self.deliveries += dt.size - lo
+        self.useful += int(np.count_nonzero(useful[lo:]))
+
+        # useful deliveries strictly inside (warmup, horizon) cut the sawtooth
+        inner = useful[lo:hi]
+        t_in = dt[lo:hi][inner]
+        g_in = dg[lo:hi][inner]
+        # this window's edges; the last one can round to just past the horizon
+        stop = batches + 1 if end == horizon else int(self.edges.searchsorted(end, "right"))
+        edges = self.edges[self.edge : stop]
+        # pos[e]: inner deliveries at or before edge e; the edge goes after them
+        pos = t_in.searchsorted(edges, side="right")
+        # generation level at each edge: that of the last inner delivery at or
+        # before it, or the level the window's inner deliveries open with
+        edge_g = np.concatenate((level[lo : lo + 1], g_in))[pos]
+        # the window's cuts, edges merged in by position
+        at = pos + np.arange(edges.size)
+        is_edge = np.zeros(t_in.size + edges.size, dtype=bool)
+        is_edge[at] = True
+        cuts, g = np.empty(is_edge.size), np.empty(is_edge.size)
+        cuts[at], cuts[~is_edge] = edges, t_in
+        g[at], g[~is_edge] = edge_g, g_in
+        # each edge opens its batch, and a delivery stays in the batch of the
+        # last edge before it; any cut after the last edge stays in the last
+        # batch (no delivery comes before the first edge, the warmup)
+        bidx = np.minimum(is_edge.cumsum() + (self.edge - 1), batches - 1)
+        # each cut opens a segment that the next cut closes, the carried cut's
+        # included; the sums so far go in first, so each batch adds in order
+        first = 0.5 * ((cuts[:1] - self.cut_g) ** 2 - (self.cut_t - self.cut_g) ** 2)
+        left, right, open_g = cuts[:-1], cuts[1:], g[:-1]
+        contrib = 0.5 * ((right - open_g) ** 2 - (left - open_g) ** 2)
+        self.per_batch = np.bincount(
+            np.concatenate((np.arange(batches), self.cut_b[: first.size], bidx[:-1])),
+            weights=np.concatenate((self.per_batch, first, contrib)),
+            minlength=batches,
+        )
+        if cuts.size:
+            self.cut_t, self.cut_g, self.cut_b = cuts[-1:].copy(), g[-1:].copy(), bidx[-1:].copy()
+        self.edge = stop
+
+    def stats(self) -> tuple[float, float, int, int]:
+        """(aoi, ci, deliveries, useful) once the window that ends at the horizon is in."""
+        span = self.horizon - self.warmup
+        means = self.per_batch / (span / self.batches)
+        aoi = float(self.per_batch.sum() / span)
+        ci = float(_Z95 * means.std(ddof=1) / math.sqrt(self.batches))
+        return aoi, ci, self.deliveries, self.useful
+
+
+def _merged(parts):
+    """One source's deliveries from every server, in time order, ties in server order."""
+    dt, dg = (np.concatenate(x) for x in zip(*parts))
+    order = dt.argsort(kind="stable")
+    return dt[order], dg[order]
 
 
 def simulate(params: SimParams) -> SimResult:
@@ -232,33 +381,43 @@ def simulate(params: SimParams) -> SimResult:
                     f"server {j} is unstable under fcfs: "
                     f"arrival rate {load:g} >= service rate {cfg.service_rates[j]:g}"
                 )
+    expected = [
+        [_expected_arrivals(cfg.arrival_rates[i][j], horizon) for i in range(m)] for j in range(n)
+    ]
+    windows = max(1, math.ceil(max(map(sum, expected)) / _WINDOW_ARRIVALS))
+    arrivals = [
+        [_Arrivals(_stream(seed, i * n + j), cfg.arrival_rates[i][j], horizon, windows)
+         for i in range(m)]
+        for j in range(n)
+    ]
+    # the narrowest label type makes the source sort below cheap
+    labels = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    kernel = _ENGINES[cfg.discipline]
+    servers = [kernel(_stream(seed, m * n + j), cfg.service_rates[j], labels) for j in range(n)]
+    sawtooth = [_Sawtooth(warmup, horizon, params.batches) for _ in range(m)]
 
-    engine = _ENGINES[cfg.discipline]
-    # the narrowest label type makes the source key of the sort below cheap
-    label_type = np.min_scalar_type(m - 1)
-    runs = []
-    for j in range(n):
-        times = [
-            _poisson_times(_stream(seed, i * n + j), cfg.arrival_rates[i][j], horizon)
-            for i in range(m)
-        ]
-        t = np.concatenate(times)
-        s = np.repeat(np.arange(m, dtype=label_type), [x.size for x in times])
-        order = np.argsort(t, kind="stable")
-        t, s = t[order], s[order]
-        done, who = engine(t, _stream(seed, m * n + j), cfg.service_rates[j], horizon)
-        runs.append((done, t[who], s[who]))
-
-    dt, dg, dsrc = (np.concatenate(parts) for parts in zip(*runs))
-    # a stable sort by source, then time: rows are source-major and in time
-    # order within each source, with ties in server order
-    order = np.lexsort((dt, dsrc))
-    cut = np.cumsum(np.bincount(dsrc, minlength=m))[:-1]
-    per_source = zip(np.split(dt[order], cut), np.split(dg[order], cut))
-
-    # ages too large or too small for float squares come out inf, nan or 0
+    for w in range(1, windows + 1):
+        end = horizon if w == windows else horizon * w / windows
+        per_source = [[] for _ in range(m)]
+        for server, streams in zip(servers, arrivals):
+            times = [stream.until(end) for stream in streams]
+            t = np.concatenate(times)
+            s = np.repeat(labels, [x.size for x in times])
+            order = t.argsort(kind="stable")
+            done, gen, src = server.deliver(t[order], s[order], end)
+            # source-major, in delivery order within each source
+            order = src.argsort(kind="stable")
+            done, gen = done[order], gen[order]
+            bounds = np.cumsum(np.bincount(src, minlength=m)).tolist()
+            for parts, lo, hi in zip(per_source, [0, *bounds], bounds):
+                parts.append((done[lo:hi], gen[lo:hi]))
+        # ages too large or too small for float squares come out inf, nan or 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for saw, parts in zip(sawtooth, per_source):
+                saw.add(*_merged(parts), end)
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = [_integrate_source(t, g, warmup, horizon, params.batches) for t, g in per_source]
+        stats = [saw.stats() for saw in sawtooth]
+
     aois, cis, delivered, fresh = zip(*stats)
     for i, a in enumerate(aois):
         if not (math.isfinite(a) and a > 0):

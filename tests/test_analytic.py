@@ -205,6 +205,27 @@ def test_three_distinct_servers_wide_arrival_span(lam, mu):
     assert abs(aoi - chain) <= 1e-12 * chain
 
 
+@pytest.mark.parametrize(
+    "lams, mus",
+    [
+        ([1.2e8, 1.1e8, 1e8], [1.0, 2.0, 3.0]),
+        ([1.0, 1.1, 1.2], [1e8, 2e8, 3e8]),
+        ([1e15, 1.1e15, 1.2e15], [1.0, 2.0, 3.0]),
+    ],
+    ids=["arrivals-1e8", "services-1e8", "arrivals-1e15"],
+)
+def test_chain_refuses_rate_spans_above_the_bound(lams, mus):
+    # the age solve would lose the smaller rates, with no residual to show it
+    with pytest.raises(ValueError, match=r"rate span .* is above 1e\+06"):
+        solve_age(build_heterogeneous_single_source(lams, mus))
+
+
+def test_chain_accepts_the_bound():
+    lams, mus = [1e6, 1.0, 1.0], [1.0] * 3
+    chain = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
+    assert chain == pytest.approx(aoi_hetero_n3(lams, mus), rel=1e-9)
+
+
 def test_three_distinct_servers_solve_no_chain(capsys):
     config = DATA / "analytic_1x3_distinct.config.json"
     doc = json.loads(config.read_text())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoinet import analytic, cli
+from aoinet import analytic, cli, sim
 from aoinet.analytic import aoi_hetero_n2, aoi_lcfs_homogeneous, aoi_multi_source_n2
 from aoinet.cli import (
     CSV_HEADER,
@@ -268,8 +268,9 @@ def test_run_sweep_error_rows():
 
 
 def test_run_sweep_chain_underflow_is_an_error_row():
-    # at these rates the chain loses every service term and solves to age 0;
-    # the closed form still gives 1/3 (three mu = 1 servers)
+    # at these rates the chain would lose every service term and solve to age
+    # 0, so its rate span refuses it; the closed form still gives 1/3 (three
+    # mu = 1 servers)
     doc = sweep_doc(
         config=config_doc(n=3),
         parameter="total-arrival",
@@ -280,7 +281,7 @@ def test_run_sweep_chain_underflow_is_an_error_row():
     assert [r.engine for r in rows] == ["analytic", "shs"] * 2
     for analytic, shs in zip(rows[::2], rows[1::2]):
         assert analytic.aoi == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert shs.aoi is None and "average age 0.0 is not finite and > 0" in shs.error
+        assert shs.aoi is None and "(max rate / min rate) is above 1e+06" in shs.error
 
 
 # pytest records warnings instead of printing them; as errors they escape main
@@ -295,7 +296,7 @@ def test_main_sweep_near_float_max_writes_nothing_to_stderr(tmp_config, tmp_path
     assert main(["sweep", "--spec", spec_path, "--out", str(out)]) == 1
     assert capfd.readouterr().err == ""
     last = out.read_text().strip().splitlines()[-1]
-    assert last.startswith("1.7e+308,shs,0,,,") and "not finite" in last
+    assert last.startswith("1.7e+308,shs,0,,,rate span 5.67e+307")
 
 
 def test_sweep_csv_golden():
@@ -921,6 +922,16 @@ def simulate_golden_argv(discipline):
 def test_main_simulate_matches_golden(capsys, discipline):
     # three sources on three distinct servers; the bytes pin the simulator's
     # random streams, kernels and integration
+    assert main(simulate_golden_argv(discipline)) == 0
+    golden = DATA / f"simulate_3x3_{discipline}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("window", [64, 1000])
+@pytest.mark.parametrize("discipline", ["lcfs-s", "fcfs"])
+def test_main_simulate_windows_keep_the_golden_bytes(monkeypatch, capsys, discipline, window):
+    # the goldens' horizon is one window at the default window length
+    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", window)
     assert main(simulate_golden_argv(discipline)) == 0
     golden = DATA / f"simulate_3x3_{discipline}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

@@ -1,28 +1,33 @@
 """Event-driven simulator: determinism, exact integration, independent references."""
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aoinet import sim
 from aoinet.analytic import aoi_multi_source_n2
-from aoinet.model import NetworkConfig
+from aoinet.model import NetworkConfig, load_config
 from aoinet.shs import ShsModel, solve_age
 from aoinet.sim import (
     _ENGINES,
     SimParams,
     SimResult,
-    _deliveries_fcfs,
-    _deliveries_lcfs_s,
-    _deliveries_lcfs_w,
-    _integrate_source,
-    _poisson_times,
+    _Arrivals,
+    _Fcfs,
+    _LcfsS,
+    _LcfsW,
+    _Sawtooth,
     _stream,
     replicate,
     simulate,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def cfg(m=1, n=1, rates=None, mus=None, disc="lcfs-s"):
@@ -37,9 +42,20 @@ def close_enough(value, target, ci):
     return abs(value - target) <= max(4.0 * ci, 0.02 * target)
 
 
+def integrate(dt, dg, warmup, horizon, batches, ends=()):
+    """The statistics of a `_Sawtooth` given the deliveries in windows that end
+    at each of `ends` (increasing, below the horizon), then at the horizon."""
+    sawtooth = _Sawtooth(warmup, horizon, batches)
+    dt, dg = np.asarray(dt, dtype=float), np.asarray(dg, dtype=float)
+    cut = np.searchsorted(dt, ends, side="right")
+    for t, g, end in zip(np.split(dt, cut), np.split(dg, cut), [*ends, horizon]):
+        sawtooth.add(t, g, end)
+    return sawtooth.stats()
+
+
 def test_integrate_source_hand_case():
     # delivery at t=1 (gen 0.5), t=2 (gen 1.8), t=3 (gen 1.0, stale)
-    aoi, ci, nd, nu = _integrate_source(
+    aoi, ci, nd, nu = integrate(
         np.array([1.0, 2.0, 3.0]),
         np.array([0.5, 1.8, 1.0]),
         0.0,
@@ -55,7 +71,7 @@ def test_integrate_source_hand_case():
 
 
 def test_integrate_source_warmup_window():
-    aoi, _, nd, nu = _integrate_source(
+    aoi, _, nd, nu = integrate(
         np.array([1.0, 2.0, 3.0]),
         np.array([0.5, 1.8, 1.0]),
         2.0,
@@ -66,6 +82,23 @@ def test_integrate_source_warmup_window():
     assert aoi == pytest.approx(2.4 / 2.0, rel=1e-12)
     assert nd == 1  # only the stale t=3 delivery falls in the window
     assert nu == 0
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [[2.0], [3.0], [2.0, 3.0], [1.0, 2.5, 3.0], [0.5, 1.5, 2.0, 3.5]],
+    ids=["on-warmup", "on-batch-edge", "on-both", "on-delivery", "between"],
+)
+def test_integrate_source_window_edges(ends):
+    # window (2, 4] in two batches, with an edge at 3; the deliveries at 2 and
+    # 3 fall on the warmup and on the batch edge
+    dt, dg = [1.0, 2.0, 3.0], [0.5, 1.8, 2.5]
+    aoi, ci, nd, nu = integrate(dt, dg, 2.0, 4.0, 2, ends)
+    assert (aoi, ci, nd, nu) == integrate(dt, dg, 2.0, 4.0, 2)
+    # batch sums 0.7 on (2, 3] at generation 1.8 and 1.0 on (3, 4] at 2.5
+    assert aoi == pytest.approx(1.7 / 2.0, rel=1e-12)
+    assert ci == pytest.approx(1.96 * 0.15, rel=1e-9)
+    assert (nd, nu) == (1, 1)
 
 
 def sorted_integrate_source(dt, dg, warmup, horizon, batches):
@@ -106,24 +139,41 @@ _delivery_rows = st.lists(
 )
 
 
+# window ends; halves put them on deliveries, batch edges and the warmup
+_window_ends = st.lists(
+    st.one_of(st.integers(1, 48).map(lambda k: 0.5 * k), st.floats(1e-3, 30.0)), max_size=4
+)
+
+
+def window_ends(ends, horizon):
+    return sorted({e for e in ends if e < horizon})
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     rows=_delivery_rows,
     warmup=st.one_of(st.integers(0, 8).map(lambda k: 0.5 * k), st.floats(0.0, 10.0)),
     span=st.one_of(st.integers(1, 24).map(lambda k: 0.5 * k), st.floats(1e-3, 20.0)),
     batches=st.integers(2, 64),
+    ends=_window_ends,
 )
-@example(rows=[], warmup=0.0, span=4.0, batches=2)  # empty stream
-@example(rows=[(0.5, 0.5), (1.0, 0.0), (0.5, 2.0)], warmup=2.0, span=2.0, batches=4)  # all at or before warmup
-@example(rows=[(1.5, 1.0), (0.5, 0.5)], warmup=1.0, span=2.0, batches=2)  # on a batch edge
-@example(rows=[(1.0, 0.5), (3.0, 1.0)], warmup=0.0, span=4.0, batches=2)  # at the horizon
-@example(rows=[(1.0, 0.5), (0.0, 0.0), (1.0, 2.0)], warmup=0.5, span=3.0, batches=3)  # same instant
-@example(rows=[(1.0, 0.0), (0.5, 2.0), (0.5, 0.5), (0.5, 3.0)], warmup=0.0, span=3.0, batches=2)  # stale
-@example(rows=[(0.5, 0.5)] * 30, warmup=1.0, span=14.0, batches=64)
+@example(rows=[], warmup=0.0, span=4.0, batches=2, ends=[])  # empty stream
+# all at or before warmup
+@example(rows=[(0.5, 0.5), (1.0, 0.0), (0.5, 2.0)], warmup=2.0, span=2.0, batches=4, ends=[2.0])
+# on a batch edge
+@example(rows=[(1.5, 1.0), (0.5, 0.5)], warmup=1.0, span=2.0, batches=2, ends=[2.0])
+@example(rows=[(1.0, 0.5), (3.0, 1.0)], warmup=0.0, span=4.0, batches=2, ends=[])  # at the horizon
+# same instant
+@example(rows=[(1.0, 0.5), (0.0, 0.0), (1.0, 2.0)], warmup=0.5, span=3.0, batches=3, ends=[1.0])
+# stale
+@example(rows=[(1.0, 0.0), (0.5, 2.0), (0.5, 0.5), (0.5, 3.0)], warmup=0.0, span=3.0, batches=2,
+         ends=[1.25, 2.0])
+@example(rows=[(0.5, 0.5)] * 30, warmup=1.0, span=14.0, batches=64, ends=[1.0, 7.0, 7.25])
 # rounding puts the last edge 2 ulp below the horizon, with a delivery in between
-@example(rows=[(20.192999999999994, 1.0)], warmup=2.176, span=18.017, batches=31)
-@example(rows=[(20.192999999999998, 1.0)], warmup=2.176, span=18.017, batches=31)  # and one at it
-def test_integrate_source_matches_sorted_reference(rows, warmup, span, batches):
+@example(rows=[(20.192999999999994, 1.0)], warmup=2.176, span=18.017, batches=31, ends=[20.0])
+@example(rows=[(20.192999999999998, 1.0)], warmup=2.176, span=18.017, batches=31,
+         ends=[20.192999999999994])  # and one at it
+def test_integrate_source_matches_sorted_reference(rows, warmup, span, batches, ends):
     horizon = warmup + span
     dt = np.cumsum([gap for gap, _ in rows], dtype=float)
     dg = np.maximum(dt - np.array([age for _, age in rows], dtype=float), 0.0)
@@ -131,7 +181,8 @@ def test_integrate_source_matches_sorted_reference(rows, warmup, span, batches):
     keep = dt <= horizon
     dt, dg = dt[keep], dg[keep]
     expected = sorted_integrate_source(dt, dg, warmup, horizon, batches)
-    assert repr(_integrate_source(dt, dg, warmup, horizon, batches)) == repr(expected)
+    ends = window_ends(ends, horizon)
+    assert repr(integrate(dt, dg, warmup, horizon, batches, ends)) == repr(expected)
 
 
 def test_same_seed_bitwise_identical():
@@ -251,15 +302,32 @@ def test_fcfs_single_server_reference():
 
 
 class StubService:
-    """Given service draws, in the kernel's layout: one per arrival for lcfs-s and
-    fcfs; for lcfs-w every gap's first-tick offset, then every gap's second-tick
-    offset. Draws past the given ones are never reached."""
+    """Given service draws, handed out in the order a kernel asks for them: one
+    per arrival for lcfs-s and fcfs, a (first-tick, second-tick) offset pair per
+    arrival for lcfs-w. Draws past the given ones are never reached."""
 
     def __init__(self, *times):
         self.times = list(times)
 
     def exponential(self, scale, size):
-        return np.array((self.times + [1e9] * size)[:size])
+        count = int(np.prod(size))
+        out, self.times = (self.times + [1e9] * count)[:count], self.times[count:]
+        return np.array(out, dtype=float).reshape(size)
+
+
+def run_kernel(kernel, t, draws, horizon, ends=()):
+    """(done, who) of a kernel on arrivals t with the given service draws, sent
+    in windows that end at each of `ends` (increasing, below the horizon), then
+    at the horizon. Each arrival's source label is its index, so who holds the
+    indices of the delivered arrivals."""
+    labels = np.arange(len(t))
+    server = kernel(StubService(*draws), 1.0, labels)
+    index = np.split(labels, np.searchsorted(t, ends, side="right"))
+    out = [server.deliver(t[k], k, end) for k, end in zip(index, [*ends, horizon])]
+    done, gen, who = (np.concatenate(x) for x in zip(*out))
+    np.testing.assert_array_equal(gen, t[who])
+    assert done.dtype == np.float64 and who.dtype.kind == "i"
+    return done, who
 
 
 @pytest.mark.parametrize(
@@ -267,42 +335,41 @@ class StubService:
     [
         pytest.param([], [], 10.0, [], id="no-arrivals"),
         # the completion at 2 comes first, so the arrival at 2 finds the server idle
-        pytest.param([0.0, 2.0], [2.0, 1.0, 9.0, 9.0], 10.0, [(2.0, 0.0), (3.0, 2.0)],
+        pytest.param([0.0, 2.0], [2.0, 9.0, 1.0, 9.0], 10.0, [(2.0, 0.0), (3.0, 2.0)],
                      id="completion-at-arrival"),
         # the waiter from 1 is promoted at 2 before the arrival at 2 can displace it
-        pytest.param([0.0, 1.0, 2.0], [5.0, 1.0, 1.0, 9.0, 9.0, 0.5], 10.0,
+        pytest.param([0.0, 1.0, 2.0], [5.0, 9.0, 1.0, 9.0, 1.0, 0.5], 10.0,
                      [(2.0, 0.0), (3.0, 1.0), (3.5, 2.0)],
                      id="completion-at-arrival-promotes-waiter"),
         pytest.param([1.0], [2.0, 9.0], 3.0, [(3.0, 1.0)], id="completion-at-horizon"),
-        pytest.param([0.0, 1.0], [5.0, 5.0, 9.0, 9.0], 4.0, [], id="waiter-pending-at-horizon"),
-        pytest.param([0.0, 1.0, 2.0], [5.0, 5.0, 1.0, 9.0, 9.0, 1.0], 10.0,
+        pytest.param([0.0, 1.0], [5.0, 9.0, 5.0, 9.0], 4.0, [], id="waiter-pending-at-horizon"),
+        pytest.param([0.0, 1.0, 2.0], [5.0, 9.0, 5.0, 9.0, 1.0, 1.0], 10.0,
                      [(3.0, 0.0), (4.0, 2.0)], id="newer-waiter-displaces-older"),
     ],
 )
 def test_lcfs_w_deliveries_hand_cases(arrivals, services, horizon, delivered):
     t = np.array(arrivals, dtype=float)
-    done, who = _deliveries_lcfs_w(t, StubService(*services), 1.0, horizon)
+    done, who = run_kernel(_LcfsW, t, services, horizon)
     expected_done = [d for d, _ in delivered]
     expected_gen = [g for _, g in delivered]
     np.testing.assert_array_equal(done, np.array(expected_done, dtype=float))
     np.testing.assert_array_equal(t[who], np.array(expected_gen, dtype=float))
     np.testing.assert_array_equal(who, np.searchsorted(t, expected_gen))
-    assert done.dtype == np.float64 and who.dtype.kind == "i"
 
 
-def assert_kernel_matches(kernel, t, draws, horizon, expected):
-    """Check the kernel's (done, who) on arrivals t against the event loop's
-    (delivery time, arrival index) pairs, and return it."""
-    done, who = kernel(t, StubService(*draws), 1.0, horizon)
+def assert_kernel_matches(kernel, t, draws, horizon, expected, ends=()):
+    """Check the kernel's (done, who) on arrivals t, windowed at `ends`, against
+    the event loop's (delivery time, arrival index) pairs, and return it."""
+    done, who = run_kernel(kernel, t, draws, horizon, ends)
     assert done.tolist() == [d for d, _ in expected]
     assert who.tolist() == [k for _, k in expected]
-    assert done.dtype == np.float64 and who.dtype.kind == "i"
     return done, who
 
 
 def lcfs_w_event_loop(t, draws, horizon):
     """(delivery time, arrival index) pairs of the uniformized lcfs-w model, one
-    event at a time: arrival k, then the first two clock ticks of its gap."""
+    event at a time: arrival k, then the first two clock ticks of its gap, at
+    the offsets draws[2k] and draws[2k + 1]."""
     n = len(t)
     out = []
     serving = waiting = None
@@ -313,7 +380,7 @@ def lcfs_w_event_loop(t, draws, horizon):
             waiting = k  # displaces any older waiter
         end = t[k + 1] if k + 1 < n else horizon
         tick = t[k]
-        for offset in (draws[k], draws[n + k]):
+        for offset in draws[2 * k : 2 * k + 2]:
             tick += offset
             if serving is None or tick > end:
                 break
@@ -327,18 +394,26 @@ def lcfs_w_event_loop(t, draws, horizon):
 _half = st.integers(0, 8).map(lambda k: 0.5 * k)
 
 
+def arrivals_and_horizon(gaps, tail):
+    t = np.cumsum([g[0] for g in gaps], dtype=float)
+    return t, float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(gaps=st.lists(st.tuples(_half, _half, _half), max_size=10), tail=_half)
-@example(gaps=[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5)], tail=1.0)  # repeated times
-@example(gaps=[(0.0, 1.0, 9.0), (1.0, 1.0, 0.5), (0.5, 2.0, 0.5)], tail=2.0)  # tick on arrival
-@example(gaps=[(1.0, 9.0, 9.0), (2.0, 0.0, 0.0)], tail=0.0)  # arrival at the horizon
-@example(gaps=[], tail=0.0)  # no arrivals
-def test_lcfs_w_kernel_matches_event_loop(gaps, tail):
-    t = np.cumsum([g for g, _, _ in gaps], dtype=float)
-    draws = [d for _, d, _ in gaps] + [d for _, _, d in gaps]
-    horizon = float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
+@given(gaps=st.lists(st.tuples(_half, _half, _half), max_size=10), tail=_half, ends=_window_ends)
+# repeated times, then a tick on an arrival
+@example(gaps=[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.5)], tail=1.0, ends=[])
+@example(gaps=[(0.0, 1.0, 9.0), (1.0, 1.0, 0.5), (0.5, 2.0, 0.5)], tail=2.0, ends=[])
+@example(gaps=[(1.0, 9.0, 9.0), (2.0, 0.0, 0.0)], tail=0.0, ends=[])  # arrival at the horizon
+@example(gaps=[], tail=0.0, ends=[0.5])  # no arrivals
+# window ends on a tick, in a waiting gap and between the two ticks of a gap
+@example(gaps=[(0.0, 1.0, 9.0), (0.5, 1.0, 0.5), (0.5, 2.0, 0.5)], tail=2.0, ends=[0.5, 1.0, 2.25])
+def test_lcfs_w_kernel_matches_event_loop(gaps, tail, ends):
+    t, horizon = arrivals_and_horizon(gaps, tail)
+    draws = [d for _, first, second in gaps for d in (first, second)]
     expected = lcfs_w_event_loop(t.tolist(), draws, horizon)
-    done, who = assert_kernel_matches(_deliveries_lcfs_w, t, draws, horizon, expected)
+    ends = window_ends(ends, horizon)
+    done, who = assert_kernel_matches(_LcfsW, t, draws, horizon, expected, ends)
     assert np.all(np.diff(done) >= 0)
     assert np.unique(who).size == who.size
     assert np.all((t[who] <= done) & (done <= horizon))
@@ -373,22 +448,51 @@ def fcfs_event_loop(t, draws, horizon):
 
 @pytest.mark.parametrize(
     "kernel, event_loop",
-    [(_deliveries_lcfs_s, lcfs_s_event_loop), (_deliveries_fcfs, fcfs_event_loop)],
+    [(_LcfsS, lcfs_s_event_loop), (_Fcfs, fcfs_event_loop)],
     ids=["lcfs-s", "fcfs"],
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(gaps=st.lists(st.tuples(_half, _half), max_size=10), tail=_half)
-@example(gaps=[], tail=0.0)  # no arrivals
-@example(gaps=[(0.0, 1.0), (0.0, 1.0), (1.0, 0.5)], tail=1.0)  # repeated times
-@example(gaps=[(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)], tail=0.5)  # completion on an arrival
-@example(gaps=[(1.0, 2.0)], tail=2.0)  # completion at the horizon
-def test_one_draw_kernels_match_event_loop(kernel, event_loop, gaps, tail):
+@given(gaps=st.lists(st.tuples(_half, _half), max_size=10), tail=_half, ends=_window_ends)
+@example(gaps=[], tail=0.0, ends=[])  # no arrivals
+@example(gaps=[(0.0, 1.0), (0.0, 1.0), (1.0, 0.5)], tail=1.0, ends=[])  # repeated times
+@example(gaps=[(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)], tail=0.5, ends=[])  # completion on an arrival
+@example(gaps=[(1.0, 2.0)], tail=2.0, ends=[])  # completion at the horizon
+# window ends at an arrival, at a completion and between the two
+@example(gaps=[(1.0, 2.0), (1.0, 0.5), (0.5, 1.0)], tail=1.0, ends=[1.0, 1.5, 2.5])
+def test_one_draw_kernels_match_event_loop(kernel, event_loop, gaps, tail, ends):
     # (gap to the previous arrival, service draw) per arrival
-    t = np.cumsum([g for g, _ in gaps], dtype=float)
+    t, horizon = arrivals_and_horizon(gaps, tail)
     draws = [d for _, d in gaps]
-    horizon = float(t[-1] if gaps else 0.0) + tail + (0.0 if gaps else 1.0)
     expected = event_loop(t.tolist(), draws, horizon)
-    assert_kernel_matches(kernel, t, draws, horizon, expected)
+    assert_kernel_matches(kernel, t, draws, horizon, expected, window_ends(ends, horizon))
+
+
+@pytest.mark.parametrize(
+    "kernel, arrivals, draws, ends, delivered",
+    [
+        # the edge at 2 falls between the arrival at 1 and its completion at 3,
+        # which comes before the next arrival...
+        pytest.param(_LcfsS, [1.0, 4.0], [2.0, 1.0], [2.0], [(3.0, 0), (5.0, 1)],
+                     id="lcfs-s-in-service"),
+        # ...or after it, when the next window's first arrival preempts it
+        pytest.param(_LcfsS, [1.0, 2.5], [2.0, 1.0], [2.0], [(3.5, 1)],
+                     id="lcfs-s-preempted"),
+        # the arrival at 1 waits through the edge at 1.5; tick 1 at 2 completes
+        # the one at 0 and promotes it, and the edge at 2.5 comes before tick 2
+        pytest.param(_LcfsW, [0.0, 1.0], [5.0, 9.0, 1.0, 1.0], [1.5, 2.5],
+                     [(2.0, 0), (3.0, 1)], id="lcfs-w-waiting-gap"),
+        # a waiter promoted before the edge at 2.5 completes after it
+        pytest.param(_LcfsW, [0.0, 1.0], [5.0, 9.0, 1.0, 5.0], [2.5],
+                     [(2.0, 0), (7.0, 1)], id="lcfs-w-promoted-waiter"),
+        # a busy period from 0 to 3 spans the edges at 1.2 and 2
+        pytest.param(_Fcfs, [0.0, 0.5, 1.0], [1.0, 1.0, 1.0], [1.2, 2.0],
+                     [(1.0, 0), (2.0, 1), (3.0, 2)], id="fcfs-busy-period"),
+    ],
+)
+def test_kernel_window_edge_hand_cases(kernel, arrivals, draws, ends, delivered):
+    t = np.array(arrivals)
+    assert_kernel_matches(kernel, t, draws, 10.0, delivered, ends)
+    assert_kernel_matches(kernel, t, draws, 10.0, delivered)
 
 
 def lcfs_w_reference_model(lam, mu):
@@ -449,8 +553,9 @@ def test_result_type_round_trip():
 
 
 def mask_split_simulate(params):
-    """Reference for the source split: one global time sort of every delivery,
-    then one boolean mask per source."""
+    """Reference for the windows and the source split: the whole horizon as one
+    window, one global time sort of every delivery, then one boolean mask per
+    source."""
     config = params.config
     m, n, seed, horizon = config.sources, config.servers, params.seed, params.horizon
     warmup = 0.01 * horizon
@@ -458,17 +563,18 @@ def mask_split_simulate(params):
     dt, dg, ds = [], [], []
     for j in range(n):
         times = [
-            _poisson_times(_stream(seed, i * n + j), config.arrival_rates[i][j], horizon)
+            _Arrivals(_stream(seed, i * n + j), config.arrival_rates[i][j], horizon, 1)
+            .until(horizon)
             for i in range(m)
         ]
         t = np.concatenate(times)
         s = np.repeat(np.arange(m), [x.size for x in times])
         order = np.argsort(t, kind="stable")
-        t, s = t[order], s[order]
-        d, who = engine(t, _stream(seed, m * n + j), config.service_rates[j], horizon)
+        server = engine(_stream(seed, m * n + j), config.service_rates[j], s)
+        d, g, src = server.deliver(t[order], s[order], horizon)
         dt.append(d)
-        dg.append(t[who])
-        ds.append(s[who])
+        dg.append(g)
+        ds.append(src)
     dt, dg, ds = np.concatenate(dt), np.concatenate(dg), np.concatenate(ds)
     order = np.argsort(dt, kind="stable")
     dt, dg, ds = dt[order], dg[order], ds[order]
@@ -489,7 +595,9 @@ def mask_split_simulate(params):
         ),
     ],
 )
-def test_source_split_matches_mask_reference(config):
+def test_source_split_matches_mask_reference(monkeypatch, config):
+    # a few windows against the reference's one
+    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", 1000)
     params = SimParams(config, 3000.0, seed=5)
     result = simulate(params)
     expected = mask_split_simulate(params)
@@ -497,3 +605,33 @@ def test_source_split_matches_mask_reference(config):
     assert result.ci_half_width == tuple(c for _, c, _, _ in expected)
     assert result.deliveries == sum(nd for _, _, nd, _ in expected)
     assert result.useful_deliveries == sum(nu for _, _, _, nu in expected)
+
+
+def test_lcfs_w_results_do_not_depend_on_the_window(monkeypatch):
+    config = load_config((DATA / "simulate_3x3_lcfs-w.config.json").read_text())
+    params = SimParams(config, 20000.0, seed=7)
+    whole = simulate(params)
+    for window in (64, 1000):
+        monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", window)
+        assert simulate(params) == whole
+
+
+def traced_peak(params):
+    tracemalloc.start()
+    try:
+        simulate(params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("discipline", ["lcfs-s", "lcfs-w", "fcfs"])
+def test_peak_memory_is_flat_in_the_horizon(monkeypatch, discipline):
+    # 2 sources on 3 servers; at 64 arrivals a window the base horizon is
+    # 12 windows, and four times it 47
+    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", 64)
+    config = cfg(m=2, n=3, rates=[[0.5] * 3, [0.25] * 3], disc=discipline)
+    base = SimParams(config, 1000.0, seed=1)
+    # the first run in a process allocates once what later runs reuse
+    simulate(base)
+    assert traced_peak(replace(base, horizon=4000.0)) <= 1.25 * traced_peak(base)
