@@ -1,10 +1,12 @@
 """Discrete-event simulation of the update network with exact age accounting.
 
 The run steps through (0, horizon] in time windows of equal length, each
-expecting about `_WINDOW_ARRIVALS` arrivals at the busiest server; the last
-one ends at the horizon. Each stage is an object that takes one window's
-input and returns that window's output, and keeps only a few values across
-the window edge, so memory does not grow with the horizon:
+expecting about `_WINDOW_ARRIVALS` arrivals at the busiest server, or more
+where many sources share them (a window costs a few numpy calls per source
+and per stream); the last one ends at the horizon. Each stage is an object
+that takes one window's input and returns that window's output, and keeps
+only a few values across the window edge, so memory does not grow with the
+horizon:
 
 - An arrival stream (`_Arrivals`) returns its Poisson times up to the
   window's end and holds back the ones it drew past it.
@@ -53,7 +55,7 @@ from .model import NetworkConfig, QueueDiscipline
 _Z95 = 1.96
 _MASK64 = (1 << 64) - 1
 # a window's expected arrivals at the busiest server, so about the rows of a
-# window's largest arrays
+# window's largest arrays unless many sources make it longer (see `simulate`)
 _WINDOW_ARRIVALS = 2**14
 # from 2^52 expected arrivals on, float64 times no longer separate them
 _MAX_ARRIVALS = 2.0**52
@@ -135,34 +137,26 @@ def _draw_count(expected: float) -> int:
 class _Arrivals:
     """The event times of one Poisson process in (0, horizon], a window at a time.
 
-    A time is the running sum of exponential draws within a chunk of
-    `_draw_count(rate * horizon)` draws, plus the time the chunk starts from.
-    A chunk is drawn in pieces of about a window's count, and each piece's
-    cumsum takes the chunk's running sum in first, so the additions are those
-    of one cumsum over the chunk.
+    A time is the running sum of exponential draws. They are drawn in pieces
+    of about a window's count, and each piece's cumsum takes the running sum
+    so far in first, so the additions are those of one cumsum over them all.
     """
 
     def __init__(self, rng: np.random.Generator, rate: float, horizon: float, windows: int):
         self.rng, self.rate = rng, rate
-        self.chunk = _draw_count(rate * horizon)
         self.piece = _draw_count(rate * horizon / windows)
-        self.base = self.run = 0.0  # the chunk's start time and running sum
-        self.left = self.chunk  # the chunk's draws to go
+        self.run = 0.0  # the last time drawn
         self.ahead = np.empty(0)  # times drawn past the last window's end
 
     def until(self, end: float) -> np.ndarray:
         """The times up to `end` that no earlier call returned."""
         ahead = self.ahead
         while self.rate > 0.0 and (ahead.size == 0 or ahead[-1] <= end):
-            draws = self.rng.exponential(1.0 / self.rate, size=min(self.piece, self.left))
-            # the chunk's running sum is the first term
+            draws = self.rng.exponential(1.0 / self.rate, size=self.piece)
             draws[0] += self.run
             cum = np.cumsum(draws, out=draws)
-            self.run, self.left = float(cum[-1]), self.left - cum.size
-            cum += self.base
+            self.run = float(cum[-1])
             ahead = _after(ahead, cum)
-            if self.left == 0:
-                self.base, self.run, self.left = float(ahead[-1]), 0.0, self.chunk
         k = int(ahead.searchsorted(end, side="right"))
         self.ahead = ahead[k:].copy()
         return ahead[:k]
@@ -341,10 +335,12 @@ class _Sawtooth:
         first = 0.5 * ((cuts[:1] - self.cut_g) ** 2 - (self.cut_t - self.cut_g) ** 2)
         left, right, open_g = cuts[:-1], cuts[1:], g[:-1]
         contrib = 0.5 * ((right - open_g) ** 2 - (left - open_g) ** 2)
-        self.per_batch = np.bincount(
-            np.concatenate((np.arange(batches), self.cut_b[: first.size], bidx[:-1])),
-            weights=np.concatenate((self.per_batch, first, contrib)),
-            minlength=batches,
+        # only the batches from the carried cut's to the last edge's change
+        b0, b1 = min(max(self.edge - 1, 0), batches - 1), min(stop, batches)
+        self.per_batch[b0:b1] = np.bincount(
+            np.concatenate((np.arange(b1 - b0), self.cut_b[: first.size] - b0, bidx[:-1] - b0)),
+            weights=np.concatenate((self.per_batch[b0:b1], first, contrib)),
+            minlength=b1 - b0,
         )
         if cuts.size:
             self.cut_t, self.cut_g, self.cut_b = cuts[-1:].copy(), g[-1:].copy(), bidx[-1:].copy()
@@ -384,7 +380,12 @@ def simulate(params: SimParams) -> SimResult:
     expected = [
         [_expected_arrivals(cfg.arrival_rates[i][j], horizon) for i in range(m)] for j in range(n)
     ]
-    windows = max(1, math.ceil(max(map(sum, expected)) / _WINDOW_ARRIVALS))
+    # each window makes a few dozen numpy calls per source and a few per
+    # stream, so it also expects at least a quarter of _WINDOW_ARRIVALS per
+    # source and a 16th per stream on average
+    busiest, total = max(map(sum, expected)), sum(map(sum, expected))
+    least = _WINDOW_ARRIVALS * m * max(1 / 4, n / 16)
+    windows = max(1, math.ceil(min(busiest / _WINDOW_ARRIVALS, total / least)))
     arrivals = [
         [_Arrivals(_stream(seed, i * n + j), cfg.arrival_rates[i][j], horizon, windows)
          for i in range(m)]

@@ -918,20 +918,20 @@ def simulate_golden_argv(discipline):
             "--replications", "3", "--format", "json"]
 
 
-@pytest.mark.parametrize("discipline", ["lcfs-s", "lcfs-w", "fcfs"])
-def test_main_simulate_matches_golden(capsys, discipline):
+@pytest.mark.parametrize(
+    "discipline, window",
+    [
+        *(pytest.param(d, None, id=d) for d in ("lcfs-s", "lcfs-w", "fcfs")),
+        # the goldens' horizon is one window at the default window length;
+        # lcfs-s and fcfs keep their bytes at any
+        *(pytest.param(d, w, id=f"{d}-window{w}") for d in ("lcfs-s", "fcfs") for w in (64, 1000)),
+    ],
+)
+def test_main_simulate_matches_golden(monkeypatch, capsys, discipline, window):
     # three sources on three distinct servers; the bytes pin the simulator's
     # random streams, kernels and integration
-    assert main(simulate_golden_argv(discipline)) == 0
-    golden = DATA / f"simulate_3x3_{discipline}.json"
-    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
-
-
-@pytest.mark.parametrize("window", [64, 1000])
-@pytest.mark.parametrize("discipline", ["lcfs-s", "fcfs"])
-def test_main_simulate_windows_keep_the_golden_bytes(monkeypatch, capsys, discipline, window):
-    # the goldens' horizon is one window at the default window length
-    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", window)
+    if window is not None:
+        monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", window)
     assert main(simulate_golden_argv(discipline)) == 0
     golden = DATA / f"simulate_3x3_{discipline}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

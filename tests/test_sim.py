@@ -169,6 +169,9 @@ def window_ends(ends, horizon):
 @example(rows=[(1.0, 0.0), (0.5, 2.0), (0.5, 0.5), (0.5, 3.0)], warmup=0.0, span=3.0, batches=2,
          ends=[1.25, 2.0])
 @example(rows=[(0.5, 0.5)] * 30, warmup=1.0, span=14.0, batches=64, ends=[1.0, 7.0, 7.25])
+# many windows, each reaching a few of many batches
+@example(rows=[(0.5, 1.0), (0.5, 3.0)] * 200, warmup=1.0, span=199.0, batches=50_000,
+         ends=[2.5 * k for k in range(1, 80)])
 # rounding puts the last edge 2 ulp below the horizon, with a delivery in between
 @example(rows=[(20.192999999999994, 1.0)], warmup=2.176, span=18.017, batches=31, ends=[20.0])
 @example(rows=[(20.192999999999998, 1.0)], warmup=2.176, span=18.017, batches=31,
@@ -596,8 +599,9 @@ def mask_split_simulate(params):
     ],
 )
 def test_source_split_matches_mask_reference(monkeypatch, config):
-    # a few windows against the reference's one
-    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", 1000)
+    # a few windows against the reference's one (300 sources: 4 windows of
+    # at least 16 arrivals per source)
+    monkeypatch.setattr(sim, "_WINDOW_ARRIVALS", 64)
     params = SimParams(config, 3000.0, seed=5)
     result = simulate(params)
     expected = mask_split_simulate(params)
