@@ -24,6 +24,11 @@ each state's exit rate per coordinate, the terms are `_age_terms`, rhs is
 growth * pi. It is solved in blocks of coordinates taken in the order 1, ...,
 d - 1, 0, a block ending where no equation so far reads a later coordinate
 (`_age_blocks`); server coordinates ordered freshest first read no staler one.
+When there are several blocks, each block's unknowns fall into groups that no
+term of the block links (`_groups`), and each group is solved alone: a group
+of one unknown by division, the groups of one size as one stacked solve, and
+a block of one group as one dense solve. With distinct servers, server
+coordinate c's block splits into groups of (c - 1)! states.
 """
 from __future__ import annotations
 
@@ -145,13 +150,66 @@ class ShsSolution:
 
 
 def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
-    """Solve m @ x = rhs; a singular system (or an overflowed solution) is NonErgodicError."""
+    """Solve m @ x = rhs; a singular system (or an overflowed solution) is NonErgodicError.
+
+    m may also be a stack of k systems of g unknowns, shape (k, g, g) with rhs
+    (k, g); a stack of 1 x 1 systems is a division.
+    """
     try:
-        x = np.linalg.solve(m, rhs)
+        if m.ndim == 2:
+            x = np.linalg.solve(m, rhs)
+        elif m.shape[1] == 1:
+            # a zero divisor gives inf or nan, refused below
+            with np.errstate(all="ignore"):
+                x = rhs / m[:, 0]
+        else:
+            x = np.linalg.solve(m, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as e:
         raise NonErgodicError(f"{system} system singular: {e}") from None
     if not np.all(np.isfinite(x)):
         raise NonErgodicError(f"{system} system singular: solution is not finite")
+    return x
+
+
+def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each unknown's group in the square system m, and the group's size.
+
+    Unknowns share a group where a path of nonzero entries m[i, j] links
+    them; a group is named by its first unknown. Off its diagonal, a matrix
+    of `_matrix` is nonzero exactly at its terms' (equation, unknown) pairs,
+    as every rate is positive.
+    """
+    n = m.shape[0]
+    a, b = np.divmod(np.flatnonzero(m != 0), n)
+    # a forest with root[i] <= i: hook each link's larger root onto the
+    # smaller, then point every unknown at its root, until no link is between roots
+    root, ra, rb = np.arange(n), a, b
+    while not (ra == rb).all():
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not ((up := root[root]) == root).all():
+            root = up
+        ra, rb = root[a], root[b]
+    return root, np.bincount(root)[root]
+
+
+def _solve_groups(diag: np.ndarray, terms: tuple, rhs: np.ndarray, system: str) -> np.ndarray:
+    """Solve the system of `_matrix(diag, terms)` as its independent groups.
+
+    The matrix is split by `_groups`: a system of one group is one dense
+    solve, and the groups of each size are one stacked solve, each group's
+    unknowns in index order.
+    """
+    m = _matrix(diag, terms)
+    group, size = _groups(m)
+    if size[0] == size.size:
+        return _solve(m, rhs, system)
+    order = np.lexsort((group, size))
+    size = size[order]
+    bounds = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1), size.size]
+    x = np.empty_like(rhs)
+    for lo, hi in zip(bounds, bounds[1:]):
+        at = order[lo:hi].reshape(-1, size[lo])
+        x[at] = _solve(m[at[:, :, None], at[:, None, :]], rhs[at], system)
     return x
 
 
@@ -287,7 +345,9 @@ def solve_age(model: ShsModel) -> ShsSolution:
 
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
-    average age is the sum of v[:, 0]. A chain whose rates span more than
+    average age is the sum of v[:, 0]. A system of one block is one dense
+    solve; otherwise each block is solved group by group (`_solve_groups`),
+    after the blocks before it. A chain whose rates span more than
     MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
     """
     pi = stationary_distribution(model)
@@ -305,13 +365,15 @@ def solve_age(model: ShsModel) -> ShsSolution:
     else:
         # solved blocks' terms go to the rhs; local[i]: i's int32 index in its block, -1 if solved
         flat, local = np.zeros_like(rhs), np.empty(rhs.size, dtype=np.int32)
+        state_start = np.arange(0, rhs.size, model.age_dim)[:, None]
         for lo, hi, coords in blocks:
-            idx = (np.arange(model.num_states)[:, None] * model.age_dim + coords).ravel()
+            idx = (state_start + coords).ravel()
             local[idx] = np.arange(idx.size)
             e, u, r = local[eq[lo:hi]], unknown[lo:hi], rate[lo:hi]
             b = rhs[idx] + np.bincount(e, weights=r * flat[u], minlength=idx.size)
             u = local[u]
-            flat[idx] = _solve(_matrix(diag[idx], (e[u >= 0], u[u >= 0], r[u >= 0])), b, "age")
+            keep = u >= 0
+            flat[idx] = _solve_groups(diag[idx], (e[keep], u[keep], r[keep]), b, "age")
             local[idx] = -1
     worst = _residual(diag, terms, flat, rhs)
     if not worst <= RESIDUAL_RTOL:

@@ -269,6 +269,79 @@ def test_blocks_follow_the_coordinates_read():
         assert np.max(np.abs(solve_age(model).v - v) / v) < 1e-12
 
 
+def record_age_solves(monkeypatch):
+    """The shape of each age system that solve_age hands to `_solve`, in order.
+
+    A stack of k groups of g unknowns is (k, g, g); a dense system is (n, n).
+    """
+    shapes = []
+
+    def recording(m, rhs, system):
+        if system == "age":
+            shapes.append(m.shape)
+        return real(m, rhs, system)
+
+    real = shs._solve
+    monkeypatch.setattr(shs, "_solve", recording)
+    return shapes
+
+
+def test_blocks_split_into_independent_groups(monkeypatch):
+    # server coordinate c's equations couple two orderings only when they
+    # hold the same servers at ranks c - 1 and staler: groups of (c - 1)!,
+    # that is group counts 120, 120, 60, 20, 5 and 1 in block order
+    distinct = build_heterogeneous_single_source([0.5, 1.0, 1.5, 2.0, 2.5], [1.0] * 5)
+    shapes = record_age_solves(monkeypatch)
+    solve_age(distinct)
+    assert shapes == [(120, 1, 1), (120, 1, 1), (60, 2, 2), (20, 6, 6), (5, 24, 24), (120, 120)]
+
+
+def cycle_model(s, take, rate):
+    """s states on the cycle q -> q + 1, transition q at rate[q] with reset map take[q]."""
+    state = np.arange(s)
+    take = np.asarray(take, dtype=np.intp)
+    return ShsModel(s, take.shape[1], state, (state + 1) % s, rate, take, np.ones(take.shape))
+
+
+def test_groups_of_unequal_sizes_match_the_dense_solve(monkeypatch):
+    # coordinate 2 is copied along the cycle's moves 1, 3 and 4 of every 6
+    # and read from coordinate 1 on the others: groups of 1, 2 and 3 states
+    s = 132
+    q = np.arange(s)
+    take = np.column_stack(
+        [
+            np.where(q % 3 == 2, 2, 0),
+            np.where(q % 2 == 0, 1, -1),
+            np.where(np.isin(q % 6, [1, 3, 4]), 2, 1),
+        ]
+    )
+    model = cycle_model(s, take, 1.0 + 0.25 * (q % 5))
+    shapes = record_age_solves(monkeypatch)
+    sol = solve_age(model)
+    assert [c.tolist() for _, _, c in _age_blocks(model)] == [[1], [2], [0]]
+    assert shapes == [(66, 2, 2), (22, 1, 1), (22, 2, 2), (22, 3, 3), (44, 3, 3)]
+    v, aoi = dense_age(model)
+    assert np.max(np.abs(sol.v - v) / v) < 1e-12
+    assert abs(sol.aoi - aoi) < 1e-12 * aoi
+
+
+def test_singular_group_in_a_stacked_solve_is_non_ergodic(monkeypatch):
+    # 50 states take coordinates 1 and 2 as one block; coordinate 1 never
+    # resets, so its group is singular, and coordinate 2's group of the same
+    # size is solved in the same stack
+    s = 50
+    q = np.arange(s)
+    take = np.column_stack(
+        [np.where(q % 2 == 0, 2, 0), np.full(s, 1), np.where(q == 0, -1, 2), np.full(s, -1)]
+    )
+    model = cycle_model(s, take, np.ones(s))
+    assert [c.tolist() for _, _, c in _age_blocks(model)] == [[1, 2], [3, 0]]
+    shapes = record_age_solves(monkeypatch)
+    with pytest.raises(NonErgodicError, match="age system singular"):
+        solve_age(model)
+    assert shapes == [(2, 50, 50)]
+
+
 def test_singular_later_block_is_non_ergodic():
     # a 130-state cycle: coordinate 1 resets on every move and is solvable,
     # but coordinate 0 never resets, so the second block is singular
