@@ -63,11 +63,11 @@ def build_multi_source_homogeneous(
     (useless if delivered) appears as the stalest entry.
 
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
-    reset map, and about 2n^2 age-system terms (a dense (n + 1)^2 system with
-    other sources), so peak memory is about 115 n^2 bytes (170 n^2 with other
-    sources). n = 2,000 builds in 0.08 s and solves in 0.8 to 1.0 s at 0.47 GB,
-    and n = 3,000 in 0.17 s and 2.0 to 2.5 s at 1.01 GB (one BLAS thread,
-    2-vCPU x86 machine, numpy 2.4 with OpenBLAS); n = 20,000 needs about 46 GB.
+    reset map, and about n^2 age-system terms (1.5 n^2 in a dense (n + 1)^2
+    system with other sources), so peak memory is about 65 n^2 bytes (100 n^2
+    with other sources). n = 2,000 builds in 0.1 s and solves in 0.5 to 0.6 s
+    at 0.29 GB, and n = 3,000 in 0.2 to 0.4 s and 1.25 to 1.3 s at 0.61 GB (one
+    BLAS thread, 2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs 26 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")

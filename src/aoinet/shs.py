@@ -16,19 +16,20 @@ row order, so the transition order fixes the rounding of every sum.
 A chain is written only as these arrays, which `ShsModel` checks; the
 `ShsTransition` records of `ShsModel.transitions` are a read view of its rows.
 
-Both linear systems have one form, diag * x = rhs + the sum of rate * x[unknown]
-over the terms (equation, unknown, rate), which `_matrix` assembles and
-`_residual` checks. Stationary balance: diag is the exit rates, each
-transition is a term (target, source, rate), rhs is 0. Expected age: diag is
-each state's exit rate per coordinate, the terms are `_age_terms`, rhs is
-growth * pi. It is solved in blocks of coordinates taken in the order 1, ...,
-d - 1, 0, a block ending where no equation so far reads a later coordinate
-(`_age_blocks`); server coordinates ordered freshest first read no staler one.
-When there are several blocks, each block's unknowns fall into groups that no
-term of the block links (`_groups`), and each group is solved alone: a group
-of one unknown by division, the groups of one size as one stacked solve, and
-a block of one group as one dense solve. With distinct servers, server
-coordinate c's block splits into groups of (c - 1)! states.
+Both linear systems have one form, diag * x = rhs + the sum of rate *
+x[unknown] over the terms (equation, unknown, rate), which `_matrix` assembles
+and `_residual` checks. Stationary balance: diag is the exit rates, each
+transition is a term (target, source, rate), rhs is 0. Expected age: diag and
+terms are `_age_terms`, rhs is growth * pi. A self-loop that keeps a
+coordinate (a self-copy) is left out of both, so each diagonal entry is a sum
+of positive rates. The system is solved in blocks of coordinates taken in the
+order 1, ..., d - 1, 0, a block ending where no equation so far reads a later
+coordinate (`_age_blocks`); server coordinates ordered freshest first read no
+staler one. When there are several blocks, each block's unknowns fall into
+groups that no term of the block links (`_groups`), and each group is solved
+alone: a group of one unknown by division, the groups of one size as one
+stacked solve, and a block of one group as one dense solve. With distinct
+servers, server coordinate c's block splits into groups of (c - 1)! states.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ RESIDUAL_RTOL = 1e-10
 # expected ages below this are a modeling error, not noise
 NEGATIVE_ATOL = 1e-9
 BLOCK_UNKNOWNS = 128  # age-system blocks are merged up to about this many unknowns
-# past this max rate / min rate the age solve loses the smaller rates' terms:
-# one source on three distinct servers was 8e-10 off at 1e8 and 3e-3 at 1e14
+# past this max rate / min rate, large arrival rates lose digits: one source on
+# three distinct servers with arrival rates x 1e8 was 8e-10 off, x 1e12 8e-6
 MAX_RATE_SPAN = 1e6
 
 
@@ -229,41 +230,46 @@ def _strongly_connected(model: ShsModel) -> bool:
     return reaches_all(model.source, model.target) and reaches_all(model.target, model.source)
 
 
-def _age_terms(model: ShsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The copy terms (equation, unknown, rate) of the age equations, and their blocks.
+def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
+    """The age equations' diagonal, copy terms (equation, unknown, rate) and blocks.
 
-    Transition k adds rate[k] * v[source[k], take[k, c]] to the equation of
-    (target[k], c) for every kept coordinate c. Equations and unknowns are
-    flat indices, state-major. Terms come in transition order for one block,
-    and for several by coordinate in block order, each in transition order.
+    Transition k adds rate[k] to the diagonal entry of (source[k], c) for every
+    coordinate c, and rate[k] * v[source[k], take[k, c]] to the equation of
+    (target[k], c) for every kept c, except at a self-copy of c. Equations and
+    unknowns are flat indices, state-major; terms come by coordinate in block
+    order, each in transition order.
     """
-    d, blocks = model.age_dim, _age_blocks(model)
-    kept = model.take if len(blocks) == 1 else model.take.T[np.arange(1, d + 1) % d]
-    keep = kept >= 0
-    i, j = np.nonzero(keep)
-    k, c = (i, j) if len(blocks) == 1 else (j, (i + 1) % d)
-    unknown = kept[keep]
-    del kept, keep  # before the term arrays grow
+    s, (t, d) = model.num_states, model.take.shape
+    order = np.arange(1, d + 1) % d
+    kept = model.take.T[order]  # row p holds coordinate order[p]
+    # p * t + k for each row p and transition k that is no self-copy
+    at = np.flatnonzero((kept != order[:, None]) | (model.source != model.target))
+    unknown = kept.ravel()[at]
+    copy = unknown >= 0
+    blocks, (p, k) = _age_blocks(kept, s, at[copy]), np.divmod(at, t)
+    del kept, at  # before the term arrays grow
+    diag = np.bincount((model.source * d)[k] + order[p], weights=model.rate[k], minlength=s * d)
+    p, k, unknown = p[copy], k[copy], unknown[copy]
     unknown += (model.source * d)[k]
-    return (model.target * d)[k] + c, unknown, model.rate[k], blocks
+    return diag, ((model.target * d)[k] + order[p], unknown, model.rate[k]), blocks
 
 
-def _age_blocks(model: ShsModel) -> list[tuple[int, int | None, np.ndarray | None]]:
+def _age_blocks(kept: np.ndarray, s: int, at: np.ndarray) -> list[tuple]:
     """(first term, end term, coordinates) of each block, or [(0, None, None)].
 
-    Coordinate c >= 1 is at position c - 1 and the monitor at d - 1. Merged
-    blocks end at the last block end in each span of BLOCK_UNKNOWNS unknowns.
+    Coordinate c >= 1 is row c - 1 of kept and the monitor row d - 1, and at
+    holds each term's flat index into kept. Merged blocks end at the last
+    block end in each span of BLOCK_UNKNOWNS unknowns.
     """
-    s, d, take = model.num_states, model.age_dim, model.take
-    order, cuts = np.arange(1, d + 1) % d, [0, d]
+    (d, t), cuts = kept.shape, [0, kept.shape[0]]
     if s * d > BLOCK_UNKNOWNS:
-        reach = np.where((take == 0).any(axis=0), d - 1, take.max(axis=0, initial=-1) - 1)[order]
+        reach = np.where((kept == 0).any(axis=1), d - 1, kept.max(axis=1, initial=-1) - 1)
         ends = np.flatnonzero(np.maximum.accumulate(reach) <= np.arange(d)) + 1
         cuts = [0, *ends[np.append(np.diff((ends * s - 1) // BLOCK_UNKNOWNS) > 0, True)]]
     if len(cuts) == 2:
         return [(0, None, None)]
-    start = np.cumsum([0, *np.count_nonzero(take >= 0, axis=0)[order]])
-    return [(start[a], start[b], order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    start, order = np.searchsorted(at, np.multiply(cuts, t)), np.arange(1, d + 1) % d
+    return [(lo, hi, order[a:b]) for lo, hi, a, b in zip(start, start[1:], cuts, cuts[1:])]
 
 
 def _matrix(diag: np.ndarray, terms: tuple) -> np.ndarray:
@@ -281,9 +287,9 @@ def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | f
 
     Relative to the per-equation sum of term magnitudes before cancellation,
     so a tiny net imbalance on large opposing terms reads as tiny. Rates are
-    first scaled down by a power of two that brings the largest exit rate,
-    which bounds every rate, below 1: the ratio is unchanged, and the sums
-    cannot overflow for rates near the float maximum.
+    first scaled down by a power of two that brings the largest diagonal entry,
+    which bounds every term's rate, below 1: the ratio is unchanged, and the
+    sums cannot overflow for rates near the float maximum.
     """
     eq, unknown, rate = terms
     unit = math.ldexp(1.0, -max(math.frexp(diag.max())[1], 0))
@@ -302,8 +308,8 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
 
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     """Worst relative residual of the expected-age equations for a solution v."""
-    diag = np.repeat(model.exit_rates(), model.age_dim)
-    return _residual(diag, _age_terms(model)[:3], v.ravel(), (model.growth * pi[:, None]).ravel())
+    diag, terms, _ = _age_terms(model)
+    return _residual(diag, terms, v.ravel(), (model.growth * pi[:, None]).ravel())
 
 
 def stationary_distribution(model: ShsModel) -> np.ndarray:
@@ -357,9 +363,8 @@ def solve_age(model: ShsModel) -> ShsSolution:
             f"rate span {span:.3g} (max rate / min rate) is above {MAX_RATE_SPAN:g}, "
             f"where the age solve loses the smaller rates"
         )
-    diag = np.repeat(model.exit_rates(), model.age_dim)
-    eq, unknown, rate, blocks = _age_terms(model)
-    terms, rhs = (eq, unknown, rate), (model.growth * pi[:, None]).ravel()
+    diag, terms, blocks = _age_terms(model)
+    (eq, unknown, rate), rhs = terms, (model.growth * pi[:, None]).ravel()
     if len(blocks) == 1:
         flat = _solve(_matrix(diag, terms), rhs, "age")
     else:

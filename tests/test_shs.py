@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoinet import shs
+from aoinet.analytic import aoi_hetero_n3
 from aoinet.builders import (
     build_heterogeneous_single_source,
     build_multi_source_homogeneous,
@@ -16,7 +17,6 @@ from aoinet.shs import (
     NegativeSolutionError,
     NonErgodicError,
     ShsModel,
-    _age_blocks,
     _age_terms,
     _matrix,
     _solve,
@@ -109,7 +109,8 @@ def test_transitions_view_yields_the_packed_records():
 
 
 def loop_reference(model):
-    """Exit rates, balance matrix and strong connectivity, one transition at a time."""
+    """Exit rates, balance matrix, strong connectivity and the age system's
+    diagonal and terms, one transition at a time."""
     s = model.num_states
     exit_rates = np.zeros(s)
     for t in model.transitions:
@@ -130,34 +131,51 @@ def loop_reference(model):
         return len(seen) == s
 
     connected = reaches_all(fwd) and reaches_all({(b, a) for a, b in fwd})
-    return exit_rates, m, connected
+    d = model.age_dim
+    age_diag, age_terms = np.zeros(s * d), []
+    for c in [*range(1, d), 0]:
+        for t in model.transitions:
+            if t.source == t.target and t.take[c] == c:
+                continue  # a self-copy: its term would only cancel its diagonal rate
+            age_diag[t.source * d + c] += t.rate
+            if t.take[c] >= 0:
+                age_terms.append((t.target * d + c, t.source * d + int(t.take[c]), t.rate))
+    return exit_rates, m, connected, age_diag, age_terms
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
-    st.integers(1, 6).flatmap(
-        lambda s: st.tuples(
-            st.just(s),
+    st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+        lambda sd: st.tuples(
+            st.just(sd),
             st.lists(
-                st.tuples(st.integers(0, s - 1), st.integers(0, s - 1), st.floats(1e-3, 1e3)),
-                max_size=4 * s,
+                st.tuples(
+                    st.integers(0, sd[0] - 1),
+                    st.integers(0, sd[0] - 1),
+                    st.floats(1e-3, 1e3),
+                    st.lists(st.integers(-1, sd[1] - 1), min_size=sd[1], max_size=sd[1]),
+                ),
+                max_size=4 * sd[0],
             ),
         )
     )
 )
 def test_vectorized_sums_match_the_transition_loop(case):
     # np.bincount and np.subtract.at add in row order, as the loop does, so
-    # the results are equal to the bit
-    s, edges = case
-    e = np.array(edges, dtype=float).reshape(-1, 3)
-    source, target = e[:, :2].T.astype(int)
-    m = ShsModel(s, 1, source, target, e[:, 2], np.zeros((e.shape[0], 1), dtype=int),
-                 np.ones((s, 1)))
-    exit_rates, balance, connected = loop_reference(m)
+    # the results are equal to the bit; age terms come by coordinate in block
+    # order, each in transition order
+    (s, d), edges = case
+    source, target, rate, take = zip(*edges) if edges else ((), (), (), ())
+    m = ShsModel(s, d, np.array(source, dtype=int), np.array(target, dtype=int), rate,
+                 np.array(take, dtype=int).reshape(-1, d), np.ones((s, d)))
+    exit_rates, balance, connected, age_diag, age_terms = loop_reference(m)
     assert m.exit_rates().tobytes() == exit_rates.tobytes()
     balance_terms = (m.target, m.source, m.rate)
     assert _matrix(m.exit_rates(), balance_terms).tobytes() == balance.tobytes()
     assert _strongly_connected(m) == connected
+    diag, terms, _ = _age_terms(m)
+    assert diag.tobytes() == age_diag.tobytes()
+    assert list(zip(*(a.tolist() for a in terms))) == age_terms
 
 
 def test_exit_rates_sum_per_state():
@@ -214,11 +232,16 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
 def dense_age(model):
     """The expected ages from the whole age system as one dense solve."""
     pi = stationary_distribution(model)
-    diag = np.repeat(model.exit_rates(), model.age_dim)
+    diag, terms, _ = _age_terms(model)
     rhs = (model.growth * pi[:, None]).ravel()
-    flat = _solve(_matrix(diag, _age_terms(model)[:3]), rhs, "age")
+    flat = _solve(_matrix(diag, terms), rhs, "age")
     v = np.maximum(flat, 0.0).reshape(model.num_states, model.age_dim)
     return v, float(v[:, 0].sum())
+
+
+def age_blocks(model):
+    """(first term, end term, coordinates) of each block `solve_age` solves."""
+    return _age_terms(model)[2]
 
 
 _RATE = st.floats(0.1, 10.0)
@@ -248,7 +271,7 @@ def test_block_solve_matches_the_dense_solve(model):
     sol = solve_age(model)
     assert np.max(np.abs(sol.v - v) / v) < 1e-12
     assert abs(sol.aoi - aoi) < 1e-12 * aoi
-    if len(_age_blocks(model)) == 1:
+    if len(age_blocks(model)) == 1:
         assert sol.v.tobytes() == v.tobytes()
         assert repr(sol.aoi) == repr(aoi)
 
@@ -256,14 +279,14 @@ def test_block_solve_matches_the_dense_solve(model):
 def test_blocks_follow_the_coordinates_read():
     # a distinct-server coordinate reads only fresher ones: one block each
     distinct = build_heterogeneous_single_source([0.5, 1.0, 1.5, 2.0, 2.5], [1.0] * 5)
-    blocks = _age_blocks(distinct)
+    blocks = age_blocks(distinct)
     assert [c.tolist() for _, _, c in blocks] == [[1], [2], [3], [4], [5], [0]]
     bounds = [(lo, hi) for lo, hi, _ in blocks]
-    assert bounds[0][0] == 0 and bounds[-1][1] == _age_terms(distinct)[0].size
+    assert bounds[0][0] == 0 and bounds[-1][1] == _age_terms(distinct)[1][0].size
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     # another source's displacement reads a staler coordinate: one block
     shared = build_multi_source_homogeneous(200, 0, [0.5, 0.7], 1.0)
-    assert len(_age_blocks(shared)) == 1
+    assert len(age_blocks(shared)) == 1
     for model in (distinct, shared):
         v, aoi = dense_age(model)
         assert np.max(np.abs(solve_age(model).v - v) / v) < 1e-12
@@ -318,7 +341,7 @@ def test_groups_of_unequal_sizes_match_the_dense_solve(monkeypatch):
     model = cycle_model(s, take, 1.0 + 0.25 * (q % 5))
     shapes = record_age_solves(monkeypatch)
     sol = solve_age(model)
-    assert [c.tolist() for _, _, c in _age_blocks(model)] == [[1], [2], [0]]
+    assert [c.tolist() for _, _, c in age_blocks(model)] == [[1], [2], [0]]
     assert shapes == [(66, 2, 2), (22, 1, 1), (22, 2, 2), (22, 3, 3), (44, 3, 3)]
     v, aoi = dense_age(model)
     assert np.max(np.abs(sol.v - v) / v) < 1e-12
@@ -335,7 +358,7 @@ def test_singular_group_in_a_stacked_solve_is_non_ergodic(monkeypatch):
         [np.where(q % 2 == 0, 2, 0), np.full(s, 1), np.where(q == 0, -1, 2), np.full(s, -1)]
     )
     model = cycle_model(s, take, np.ones(s))
-    assert [c.tolist() for _, _, c in _age_blocks(model)] == [[1, 2], [3, 0]]
+    assert [c.tolist() for _, _, c in age_blocks(model)] == [[1, 2], [3, 0]]
     shapes = record_age_solves(monkeypatch)
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(model)
@@ -350,7 +373,7 @@ def test_singular_later_block_is_non_ergodic():
     m = ShsModel(
         s, 2, state, (state + 1) % s, np.ones(s), np.tile([0, -1], (s, 1)), np.ones((s, 2))
     )
-    assert [c.tolist() for _, _, c in _age_blocks(m)] == [[1], [0]]
+    assert [c.tolist() for _, _, c in age_blocks(m)] == [[1], [0]]
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(m)
 
@@ -415,6 +438,49 @@ def test_rate_scaling_inverts_age():
         base = solve_age(build_single_source_homogeneous(3, 0.7, 1.1)).aoi
         scaled = solve_age(build_single_source_homogeneous(3, 0.7 * k, 1.1 * k)).aoi
         assert scaled == pytest.approx(base / k, rel=1e-10)
+
+
+def count_chain_age(n, lam_i, lam_o, mu):
+    """Source i's age on n exchangeable servers by the (n + 1)-state count chain.
+
+    k servers hold an update of source i newer than the time looked back to;
+    k moves up at (n - k) lam_i, down at k lam_o, and ends at k mu. The mean
+    time to the end from k, T(k), solves a tridiagonal system, and the age is
+    T(0). Each eliminated row keeps its slack (pivot less the up rate) as the
+    sum of positive terms k mu + (k lam_o / pivot_{k-1}) slack_{k-1}, so
+    nothing cancels; the sums are taken in long double.
+    """
+    lam_i, lam_o, mu = (np.longdouble(x) for x in (lam_i, lam_o, mu))
+    slack, pivot, rhs = np.longdouble(0), [n * lam_i], [np.longdouble(1)]
+    for k in range(1, n + 1):
+        down = k * lam_o / pivot[-1]
+        slack = k * mu + down * slack
+        rhs.append(1 + down * rhs[-1])
+        pivot.append((n - k) * lam_i + slack)
+    t = np.longdouble(0)
+    for k in range(n, -1, -1):
+        t = (rhs[k] + (n - k) * lam_i * t) / pivot[k]
+    return t
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000, 2000])
+@pytest.mark.parametrize("rates", [[0.5], [0.5, 1.0]], ids=["one-source", "two-sources"])
+def test_exchangeable_chain_matches_the_count_chain(n, rates):
+    # every transition of this chain is a self-loop; solved with its
+    # self-copies on the diagonal, two sources were 4.5e-10 off at n = 2000
+    rates = [r / n for r in rates]
+    aoi = solve_age(build_multi_source_homogeneous(n, 0, rates, 1.0)).aoi
+    ref = count_chain_age(n, rates[0], sum(rates[1:]), 1.0)
+    assert abs(aoi - ref) < 1e-13 * ref
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_large_service_rates_lose_no_digits(scale):
+    # deliveries are self-loops; solved with their self-copies on the
+    # diagonal, the chain was 8.8e-13 off at 1e4
+    lams, mus = [1.0, 1.1, 1.2], [scale, 2 * scale, 3 * scale]
+    aoi = solve_age(build_heterogeneous_single_source(lams, mus)).aoi
+    assert abs(aoi - aoi_hetero_n3(lams, mus)) <= 1e-15 * aoi_hetero_n3(lams, mus)
 
 
 def test_solve_age_singular_age_system():
