@@ -8,13 +8,14 @@ preemption, every staler server, which collapses or bounds the state space.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from .model import positive_rate
-from .shs import ShsModel
+from .shs import ShsModel, ShsPlan
 
 
 def _slot_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,10 +65,10 @@ def build_multi_source_homogeneous(
 
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
     reset map, and about n^2 age-system terms (1.5 n^2 in a dense (n + 1)^2
-    system with other sources), so peak memory is about 65 n^2 bytes (100 n^2
-    with other sources). n = 2,000 builds in 0.1 s and solves in 0.5 to 0.6 s
-    at 0.29 GB, and n = 3,000 in 0.2 to 0.4 s and 1.25 to 1.3 s at 0.61 GB (one
-    BLAS thread, 2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs 26 GB.
+    system with other sources), so peak memory is about 75 n^2 bytes (125 n^2
+    with other sources). n = 2,000 builds in 0.1 s and solves in 0.4 to 0.5 s
+    at 0.35 GB, and n = 3,000 in 0.2 s and 0.9 s at 0.68 GB (one BLAS thread,
+    2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs 30 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -105,16 +106,20 @@ def build_heterogeneous_single_source(
 
     The chain is written as whole arrays (all orderings at once), in the
     order: per state, its n arrivals by server, then its n deliveries by rank.
+    Only the rates depend on the servers' rates: the other arrays, and the
+    solver's plan of them (`ShsPlan`), are built once per n and shared,
+    read-only, by every model of that n, so a later solve skips the
+    structural work.
 
     Capped at n <= 6. Each server coordinate reads only itself or a fresher
     one, so `solve_age` solves n + 1 blocks of n! unknowns. Coordinate c's
     equations couple two orderings only when they hold the same servers at
     ranks c - 1 and staler, so its block splits into independent groups of
     (c - 1)! orderings, and only the monitor's block is one n!-unknown solve.
-    At n = 6 the build takes about 2 ms and `aoinet analytic` 0.05 to 0.09 s
-    at a 46 MB peak (one BLAS thread, 2-vCPU x86 machine, numpy 2.4 with
-    OpenBLAS). n = 7 would still need a stationary solve and a monitor block
-    of 5040 unknowns, each a 200 MB dense LU.
+    At n = 6 the first build takes about 2 ms and `aoinet analytic` 0.05 to
+    0.09 s at a 46 MB peak (one BLAS thread, 2-vCPU x86 machine, numpy 2.4
+    with OpenBLAS). n = 7 would still need a stationary solve and a monitor
+    block of 5040 unknowns, each a 200 MB dense LU.
     """
     lams = [positive_rate(f"arrival_rates[{j}]", r) for j, r in enumerate(arrival_rates)]
     mus = [positive_rate(f"service_rates[{j}]", r) for j, r in enumerate(service_rates)]
@@ -125,7 +130,18 @@ def build_heterogeneous_single_source(
         raise ValueError("need at least one server")
     if n > 6:
         raise ValueError("heterogeneous builder supports at most 6 servers")
+    perms, plan = _orderings(n)
+    # per state: its n arrivals by server, then its n deliveries by rank
+    return plan.model(np.hstack([np.tile(lams, (len(perms), 1)), np.array(mus)[perms]]).ravel())
 
+
+@functools.lru_cache(maxsize=None)
+def _orderings(n: int) -> tuple[np.ndarray, ShsPlan]:
+    """The n! orderings of n distinct servers and the plan of their chain's arrays.
+
+    Every array is read-only, as all models of n servers share them; the
+    builder's cap bounds the cache to six entries.
+    """
     # state q is the q-th ordering in lexicographic order; read as base-n
     # numbers the orderings are sorted, so a rank is one searchsorted
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -146,14 +162,13 @@ def build_heterogeneous_single_source(
 
     # per state: its n arrivals, then its n deliveries
     state = np.arange(num_states)
-    return ShsModel(
-        num_states,
-        d,
-        source=np.repeat(state, 2 * n),
-        target=np.hstack([arrival_target, np.repeat(state[:, None], n, axis=1)]).ravel(),
-        rate=np.hstack([np.tile(lams, (num_states, 1)), np.array(mus)[perms]]).ravel(),
-        take=np.hstack(
-            [arrival[np.argsort(perms, axis=1)], np.broadcast_to(delivery, (num_states, n, d))]
-        ).reshape(-1, d),
-        growth=np.ones((num_states, d)),
-    )
+    source = np.repeat(state, 2 * n)
+    target = np.hstack([arrival_target, np.repeat(state[:, None], n, axis=1)]).ravel()
+    take = np.hstack(
+        [arrival[np.argsort(perms, axis=1)], np.broadcast_to(delivery, (num_states, n, d))]
+    ).reshape(-1, d)
+    growth = np.ones((num_states, d))
+    for a in (perms, source, target, take, growth):
+        a.flags.writeable = False
+    rate = np.ones(source.size)  # a plan reads no rate
+    return perms, ShsPlan(ShsModel(num_states, d, source, target, rate, take, growth))

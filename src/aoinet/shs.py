@@ -30,12 +30,24 @@ groups that no term of the block links (`_groups`), and each group is solved
 alone: a group of one unknown by division, the groups of one size as one
 stacked solve, and a block of one group as one dense solve. With distinct
 servers, server coordinate c's block splits into groups of (c - 1)! states.
+
+A solve is split into a plan and a numeric pass. The plan (`ShsPlan`) holds
+what follows from the structural arrays alone (`num_states`, `source`,
+`target`, `take`, `growth`): the irreducibility verdict, which every rate
+being positive makes structural, the transitions that change state, the age
+system's terms as indices into `rate`, its blocks and their groups. The
+numeric pass gathers the rates into them, adding the same terms in the same
+order, so a planned solve gives the same bytes. A model made by
+`ShsPlan.model` reuses its plan for as long as it holds the very arrays the
+plan was made from; any other model is planned on the spot, on every solve.
+A plan is never changed once built, so threads may share it.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +103,8 @@ class ShsModel:
     rate: np.ndarray
     take: np.ndarray
     growth: np.ndarray
+    # set by ShsPlan.model only
+    _plan: ShsPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.growth = np.asarray(self.growth, dtype=float)
@@ -150,6 +164,78 @@ class ShsSolution:
     aoi: float
 
 
+class ShsPlan:
+    """The rate-free part of solving one chain structure, built once and never changed.
+
+    Made from a model's structural arrays; `model(rate)` makes models on
+    those arrays that reuse it (see the module docstring).
+    """
+
+    def __init__(self, model: ShsModel) -> None:
+        self.num_states = model.num_states
+        self.arrays = model.source, model.target, model.take, model.growth
+        self.balance = _BalancePlan(model)
+        self.age = _AgePlan(model)
+
+    def model(self, rate: np.ndarray) -> ShsModel:
+        """A model on the plan's arrays with these rates, checked like any other."""
+        source, target, take, growth = self.arrays
+        model = ShsModel(self.num_states, take.shape[1], source, target, rate, take, growth)
+        model._plan = self
+        return model
+
+
+def _plan_part(model: ShsModel, part: str):
+    """The plan part `part` ("balance" or "age") for this model.
+
+    The model's own plan if it still holds the arrays the plan was made from,
+    checked by identity; else the part is planned now.
+    """
+    plan = model._plan
+    if plan is not None and plan.num_states == model.num_states and all(
+        a is b for a, b in zip((model.source, model.target, model.take, model.growth), plan.arrays)
+    ):
+        return getattr(plan, part)
+    return _BalancePlan(model) if part == "balance" else _AgePlan(model)
+
+
+class _BalancePlan:
+    """The balance system's rate-free part: irreducibility and the state-changing moves."""
+
+    def __init__(self, model: ShsModel) -> None:
+        self.connected = _strongly_connected(model)
+        self.moves = np.flatnonzero(model.source != model.target)
+        self.source, self.target = model.source[self.moves], model.target[self.moves]
+
+
+class _AgePlan:
+    """The age system's rate-free part, from `_age_index`.
+
+    `diag` is (entry, transition) pairs and `terms` (equation, unknown,
+    transition) triples; `blocks` are those of `_age_blocks`. A system of
+    several blocks has `steps`, the `_Block` of each in solve order, and
+    `pos`, each flat unknown's place in the blocks' local orders, one block
+    after another; a system of one block has None for both.
+    """
+
+    def __init__(self, model: ShsModel) -> None:
+        self.size = model.num_states * model.age_dim
+        diag, terms, self.blocks = _age_index(model)
+        self.pos = self.steps = None
+        if len(self.blocks) > 1:
+            self.pos, self.steps = _block_steps(
+                model.num_states, model.age_dim, self.blocks, *terms[:2]
+            )
+        self.diag, self.terms = diag, terms
+
+    def system(self, rate: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The diagonal and the copy terms (equation, unknown, rate) for these rates."""
+        at, k = self.diag
+        eq, unknown, term = self.terms
+        diag = np.bincount(at, weights=rate[k], minlength=self.size)
+        return diag, (eq, unknown, rate[term])
+
+
 def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
     """Solve m @ x = rhs; a singular system (or an overflowed solution) is NonErgodicError.
 
@@ -172,16 +258,17 @@ def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
     return x
 
 
-def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each unknown's group in the square system m, and the group's size.
+def _groups(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of n unknowns' group, and the group's size, where term i links a[i] and b[i].
 
-    Unknowns share a group where a path of nonzero entries m[i, j] links
-    them; a group is named by its first unknown. Off its diagonal, a matrix
-    of `_matrix` is nonzero exactly at its terms' (equation, unknown) pairs,
-    as every rate is positive.
+    Unknowns share a group where a path of links joins them; a group is named
+    by its first unknown. As every rate is positive, these are the groups of
+    the nonzero entries of the terms' matrix.
     """
-    n = m.shape[0]
-    a, b = np.divmod(np.flatnonzero(m != 0), n)
+    # a link repeated back to back adds nothing: exchangeable servers' terms
+    # repeat a few links many times
+    new = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
+    a, b = a[new], b[new]
     # a forest with root[i] <= i: hook each link's larger root onto the
     # smaller, then point every unknown at its root, until no link is between roots
     root, ra, rb = np.arange(n), a, b
@@ -193,51 +280,142 @@ def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, np.bincount(root)[root]
 
 
-def _solve_groups(diag: np.ndarray, terms: tuple, rhs: np.ndarray, system: str) -> np.ndarray:
-    """Solve the system of `_matrix(diag, terms)` as its independent groups.
+class _Block(NamedTuple):
+    """One age block's rate-free part: its unknowns, its terms and their groups.
 
-    The matrix is split by `_groups`: a system of one group is one dense
-    solve, and the groups of each size are one stacked solve, each group's
-    unknowns in index order.
+    `idx` holds the block's flat unknowns, in its local order, and `terms`
+    the slice of the terms of its equations. `own` holds the terms that read
+    its own unknowns. A block of several groups (`_groups`) has `stacks`:
+    per group size g in increasing order, the (k, g) array of the k groups'
+    local unknowns in index order, and each of their terms' flat position in
+    the (k, g, g) stack of the groups' systems, and the term. Each part keeps
+    the term order.
     """
-    m = _matrix(diag, terms)
-    group, size = _groups(m)
-    if size[0] == size.size:
-        return _solve(m, rhs, system)
-    order = np.lexsort((group, size))
-    size = size[order]
-    bounds = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1), size.size]
-    x = np.empty_like(rhs)
-    for lo, hi in zip(bounds, bounds[1:]):
-        at = order[lo:hi].reshape(-1, size[lo])
-        x[at] = _solve(m[at[:, :, None], at[:, None, :]], rhs[at], system)
-    return x
+
+    idx: np.ndarray
+    terms: slice
+    own: np.ndarray
+    stacks: list | None
+
+    def solve(self, diag: np.ndarray, terms: tuple, rhs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The block's unknowns from its diagonal and rhs, the system's terms and `_AgePlan.pos`."""
+        eq, unknown, rate = terms
+        if self.stacks is None:
+            start, own = pos[self.idx[0]], self.own
+            local = pos[eq[own]] - start, pos[unknown[own]] - start, rate[own]
+            return _solve(_matrix(diag, local), rhs, "age")
+        x = np.empty_like(rhs)
+        for at, place, term in self.stacks:
+            count, g = at.shape
+            m = np.zeros((count, g, g))
+            m.reshape(count, g * g)[:, :: g + 1] = diag[at]
+            # repeated entries accumulate in term order, as in `_matrix`
+            np.subtract.at(m.reshape(-1), place, rate[term])
+            x[at] = _solve(m, rhs[at], "age")
+        return x
+
+
+def _block_steps(s: int, d: int, blocks: list, eq: np.ndarray,
+                 unknown: np.ndarray) -> tuple[np.ndarray, list[_Block]]:
+    """`_AgePlan.pos`, and the `_Block` of each block of `_age_blocks`.
+
+    A block's local order is state-major over its coordinates. The unknowns
+    are numbered in solve order, block after block, each block's in its
+    local order. No term links two blocks, so one `_groups` call splits every
+    block, and one sort orders the split blocks' unknowns by group size, then
+    group, then index: a run of one block and one size is a stack.
+    """
+    count = np.array([c.size for _, _, c in blocks])  # coordinates per block
+    off = np.zeros(count.size + 1, dtype=np.intp)
+    np.cumsum(count * s, out=off[1:])
+    width = np.diff(off)
+    # pos[q * d + c]: the unknown's block offset plus q * count + j, where c
+    # is the j-th coordinate of its block
+    coords = np.concatenate([c for _, _, c in blocks])
+    block = np.repeat(np.arange(count.size), count)
+    base, step = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    base[coords] = off[block] + np.arange(d) - np.repeat(np.cumsum(count) - count, count)
+    step[coords] = count[block]
+    pos = (np.arange(s)[:, None] * step + base).ravel()
+    at = np.arange(pos.size)
+    idx = np.empty_like(pos)
+    idx[pos] = at
+    ends = [0, *(hi for _, hi, _ in blocks)]
+    # a term whose unknown lies before its block's reads a solved block; the
+    # others link unknowns of their block
+    u = pos[unknown]
+    own = np.flatnonzero(np.concatenate(
+        [u[lo:hi] >= start for (lo, hi, _), start in zip(blocks, off)]
+    ))
+    u = u[own]
+    e = pos[eq[own]]
+    group, size = _groups(pos.size, e, u)
+    # a block of one group is solved whole
+    dense = size[off[:-1]] == width
+    cut = np.searchsorted(own, ends)
+    steps = [
+        _Block(idx[off[b]:off[b + 1]], slice(ends[b], ends[b + 1]), own[cut[b]:cut[b + 1]],
+               None if dense[b] else [])
+        for b in range(count.size)
+    ]
+    # a term's unknowns share a group, so a run: the terms by run, in term
+    # order, at their unknowns' places in the run's stack
+    split = np.flatnonzero(~np.repeat(dense, np.diff(cut)))
+    e, u, own = e[split], u[split], own[split]
+    block = np.repeat(np.arange(count.size), width)
+    order = np.lexsort((group, size, block))
+    sorted_size, block = size[order], block[order]
+    first = np.concatenate(
+        ([True], (sorted_size[1:] != sorted_size[:-1]) | (block[1:] != block[:-1]))
+    )
+    starts = np.flatnonzero(first)
+    run, rank = np.empty_like(at), np.empty_like(at)
+    run[order] = np.cumsum(first) - 1
+    rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
+    by_run = np.argsort(run[e], kind="stable")
+    e, u, own = e[by_run], u[by_run], own[by_run]
+    g = size[e]
+    place = g * rank[e] + rank[u] % g
+    bounds = np.searchsorted(run[e], np.arange(starts.size + 1))
+    for r, (a, z) in enumerate(zip(starts, [*starts[1:], pos.size])):
+        b = block[a]
+        if not dense[b]:
+            t = slice(bounds[r], bounds[r + 1])
+            steps[b].stacks.append(
+                ((order[a:z] - off[b]).reshape(-1, sorted_size[a]), place[t], own[t])
+            )
+    return pos, steps
 
 
 def _strongly_connected(model: ShsModel) -> bool:
-    def reaches_all(frm: np.ndarray, to: np.ndarray) -> bool:
-        # breadth-first from state 0, one whole frontier per step
-        seen = np.zeros(model.num_states, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            step = np.zeros_like(seen)
-            step[to[frontier[frm]]] = True
-            frontier = step & ~seen
-            seen |= step
-        return bool(seen.all())
+    """Whether every state reaches state 0 and state 0 every state.
 
-    return reaches_all(model.source, model.target) and reaches_all(model.target, model.source)
+    One breadth-first search, one whole frontier per step, from state 0 along
+    the transitions and, as states num_states + q, against them.
+    """
+    s = model.num_states
+    frm = np.concatenate([model.source, model.target + s])
+    to = np.concatenate([model.target, model.source + s])
+    seen = np.zeros(2 * s, dtype=bool)
+    seen[[0, s]] = True
+    frontier = seen.copy()
+    while not seen.all() and frontier.any():
+        step = np.zeros_like(seen)
+        step[to[frontier[frm]]] = True
+        frontier = step & ~seen
+        seen |= step
+    return bool(seen.all())
 
 
-def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
-    """The age equations' diagonal, copy terms (equation, unknown, rate) and blocks.
+def _age_index(model: ShsModel) -> tuple[tuple, tuple, list]:
+    """The age equations as indices into `rate`: diagonal, copy terms and blocks.
 
     Transition k adds rate[k] to the diagonal entry of (source[k], c) for every
     coordinate c, and rate[k] * v[source[k], take[k, c]] to the equation of
-    (target[k], c) for every kept c, except at a self-copy of c. Equations and
-    unknowns are flat indices, state-major; terms come by coordinate in block
-    order, each in transition order.
+    (target[k], c) for every kept c, except at a self-copy of c. The diagonal
+    is (entry, k) pairs and the terms (equation, unknown, k) triples, where
+    entries, equations and unknowns are flat indices, state-major; both come
+    by coordinate in block order, each in transition order.
     """
     s, (t, d) = model.num_states, model.take.shape
     order = np.arange(1, d + 1) % d
@@ -248,10 +426,19 @@ def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
     copy = unknown >= 0
     blocks, (p, k) = _age_blocks(kept, s, at[copy]), np.divmod(at, t)
     del kept, at  # before the term arrays grow
-    diag = np.bincount((model.source * d)[k] + order[p], weights=model.rate[k], minlength=s * d)
+    diag = (model.source * d)[k] + order[p], k
     p, k, unknown = p[copy], k[copy], unknown[copy]
     unknown += (model.source * d)[k]
-    return diag, ((model.target * d)[k] + order[p], unknown, model.rate[k]), blocks
+    return diag, ((model.target * d)[k] + order[p], unknown, k), blocks
+
+
+def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
+    """The age equations' diagonal, copy terms (equation, unknown, rate) and blocks.
+
+    The model's rates gathered into its plan's indices (see `_age_index`).
+    """
+    plan = _plan_part(model, "age")
+    return (*plan.system(model.rate), plan.blocks)
 
 
 def _age_blocks(kept: np.ndarray, s: int, at: np.ndarray) -> list[tuple]:
@@ -277,27 +464,34 @@ def _matrix(diag: np.ndarray, terms: tuple) -> np.ndarray:
     eq, unknown, rate = terms
     m = np.zeros((diag.size, diag.size))
     np.fill_diagonal(m, diag)
-    # repeated entries accumulate in term order
-    np.subtract.at(m, (eq, unknown), rate)
+    # repeated entries accumulate in term order; flat positions are the fast path
+    np.subtract.at(m.reshape(-1), eq * diag.size + unknown, rate)
     return m
 
 
-def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | float) -> float:
+def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | float,
+              parts: Sequence[slice] = (slice(None),)) -> float:
     """Worst relative residual of diag * x = rhs + sum of rate * x[unknown].
 
     Relative to the per-equation sum of term magnitudes before cancellation,
     so a tiny net imbalance on large opposing terms reads as tiny. Rates are
     first scaled down by a power of two that brings the largest diagonal entry,
     which bounds every term's rate, below 1: the ratio is unchanged, and the
-    sums cannot overflow for rates near the float maximum.
+    sums cannot overflow for rates near the float maximum. The terms are
+    summed in `parts`, slices that each hold every term of their equations,
+    so a large system's terms are not all scaled at once.
     """
     eq, unknown, rate = terms
     unit = math.ldexp(1.0, -max(math.frexp(diag.max())[1], 0))
-    diag, rate, rhs = diag * unit, rate * unit, rhs * unit
-    term = rate * x[unknown]
+    diag, rhs = diag * unit, rhs * unit
     lhs = diag * x
-    total = rhs + np.bincount(eq, weights=term, minlength=x.size)
-    scale = np.abs(lhs) + np.abs(rhs) + np.bincount(eq, weights=np.abs(term), minlength=x.size)
+    # each equation takes its sums from one part and adds 0 from the others
+    total, scale = rhs, np.abs(lhs) + np.abs(rhs)
+    for t in parts:
+        term = rate[t] * unit
+        term *= x[unknown[t]]
+        total = total + np.bincount(eq[t], weights=term, minlength=x.size)
+        scale = scale + np.bincount(eq[t], weights=np.abs(term, out=term), minlength=x.size)
     return float(np.max(np.abs(lhs - total) / np.maximum(scale, 1e-300)))
 
 
@@ -320,15 +514,15 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
     the solution. The solved matrix leaves out self-loops: they do not change
     the balance, and their cancelling diagonal entries lose small rates.
     """
-    if not _strongly_connected(model):
+    plan = _plan_part(model, "balance")
+    if not plan.connected:
         raise NonErgodicError("chain is not irreducible")
     exits, terms = model.exit_rates(), (model.target, model.source, model.rate)
     if not np.all(np.isfinite(exits)):
         raise NonErgodicError(f"exit rate {float(exits.max())!r} is not finite")
-    moves = model.source != model.target
-    source, rate = model.source[moves], model.rate[moves]
-    diag = np.bincount(source, weights=rate, minlength=model.num_states)
-    m = _matrix(diag, (model.target[moves], source, rate))
+    rate = model.rate[plan.moves]
+    diag = np.bincount(plan.source, weights=rate, minlength=model.num_states)
+    m = _matrix(diag, (plan.target, plan.source, rate))
     rhs = np.zeros(model.num_states)
     m[-1, :] = 1.0
     rhs[-1] = 1.0
@@ -352,9 +546,9 @@ def solve_age(model: ShsModel) -> ShsSolution:
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
     average age is the sum of v[:, 0]. A system of one block is one dense
-    solve; otherwise each block is solved group by group (`_solve_groups`),
-    after the blocks before it. A chain whose rates span more than
-    MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
+    solve; otherwise each block is solved group by group (`_Block`), after
+    the blocks before it. A chain whose rates span more than MAX_RATE_SPAN is
+    refused with a ValueError after its stationary solve.
     """
     pi = stationary_distribution(model)
     span = float(model.rate.max()) / float(model.rate.min())
@@ -363,24 +557,22 @@ def solve_age(model: ShsModel) -> ShsSolution:
             f"rate span {span:.3g} (max rate / min rate) is above {MAX_RATE_SPAN:g}, "
             f"where the age solve loses the smaller rates"
         )
-    diag, terms, blocks = _age_terms(model)
-    (eq, unknown, rate), rhs = terms, (model.growth * pi[:, None]).ravel()
-    if len(blocks) == 1:
+    plan = _plan_part(model, "age")
+    diag, terms = plan.system(model.rate)
+    rhs = (model.growth * pi[:, None]).ravel()
+    if plan.steps is None:
         flat = _solve(_matrix(diag, terms), rhs, "age")
     else:
-        # solved blocks' terms go to the rhs; local[i]: i's int32 index in its block, -1 if solved
-        flat, local = np.zeros_like(rhs), np.empty(rhs.size, dtype=np.int32)
-        state_start = np.arange(0, rhs.size, model.age_dim)[:, None]
-        for lo, hi, coords in blocks:
-            idx = (state_start + coords).ravel()
-            local[idx] = np.arange(idx.size)
-            e, u, r = local[eq[lo:hi]], unknown[lo:hi], rate[lo:hi]
-            b = rhs[idx] + np.bincount(e, weights=r * flat[u], minlength=idx.size)
-            u = local[u]
-            keep = u >= 0
-            flat[idx] = _solve_groups(diag[idx], (e[keep], u[keep], r[keep]), b, "age")
-            local[idx] = -1
-    worst = _residual(diag, terms, flat, rhs)
+        # solved blocks' terms go to the rhs; the block's own unknowns are still 0
+        (eq, unknown, rate), flat = terms, np.zeros_like(rhs)
+        for block in plan.steps:
+            idx, t = block.idx, block.terms
+            b = rhs[idx] + np.bincount(
+                eq[t], weights=rate[t] * flat[unknown[t]], minlength=rhs.size
+            )[idx]
+            flat[idx] = block.solve(diag[idx], terms, b, plan.pos)
+    parts = (slice(None),) if plan.steps is None else [block.terms for block in plan.steps]
+    worst = _residual(diag, terms, flat, rhs, parts)
     if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(
             f"age system residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"

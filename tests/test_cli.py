@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoinet import analytic, cli, sim
+from aoinet import analytic, builders, cli, shs, sim
 from aoinet.analytic import aoi_hetero_n2, aoi_lcfs_homogeneous, aoi_multi_source_n2
 from aoinet.cli import (
     CSV_HEADER,
@@ -388,6 +388,30 @@ def test_sweep_deterministic_across_thread_counts(monkeypatch):
     monkeypatch.setenv("AOI_THREADS", "4")
     threaded = sweep_csv(run_sweep(load_sweep_spec(doc)))
     assert serial == threaded
+
+
+def test_distinct_server_sweep_plans_its_chain_once(monkeypatch, capsys, tmp_config):
+    # every point of a rate sweep has the same n, so its chains share one
+    # plan; the pool's threads share it, and the bytes do not move
+    spec = tmp_config(sweep_doc(
+        config=config_doc(n=4, rates=[[0.5] * 4], mus=[1.0, 1.5, 2.0, 2.5]),
+        parameter="per-server-arrival",
+        grid=[0.2, 0.5, 1.0, 2.0, 4.0],
+        engines=["shs"],
+    ), "spec.json")
+    builds = []
+    real = shs._age_index
+    monkeypatch.setattr(shs, "_age_index", lambda model: builds.append(model) or real(model))
+    builders._orderings.cache_clear()
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AOI_THREADS", threads)
+        assert main(["sweep", "--spec", spec]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(builds) == 1
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",") for row in rows)  # no error rows
 
 
 # ---------------------------------------------------------------- recipes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoinet import shs
+from aoinet import builders, shs
 from aoinet.analytic import aoi_hetero_n3
 from aoinet.builders import (
     build_heterogeneous_single_source,
@@ -215,18 +215,33 @@ def test_age_residual_flags_wrong_solution():
     assert age_residual(m, pi, sol.v + 0.1) > 1e-3
 
 
-def test_solve_age_flattens_the_resets_once(monkeypatch):
-    # the age system is assembled and checked from one set of copy terms
+def count_term_builds(monkeypatch):
+    """The models whose age terms are built (`_age_index`), in order."""
     calls = []
 
     def counting(model):
         calls.append(model)
         return real(model)
 
-    real = shs._age_terms
-    monkeypatch.setattr(shs, "_age_terms", counting)
-    solve_age(build_single_source_homogeneous(3, 1.0, 1.0))
+    real = shs._age_index
+    monkeypatch.setattr(shs, "_age_index", counting)
+    return calls
+
+
+def test_solve_age_flattens_the_resets_once(monkeypatch):
+    # one term build per plan: the age system is assembled and checked from
+    # one set of copy terms. Distinct-server models of one n share their
+    # builder's plan, so two solves build the terms once; a hand-made model
+    # is planned on every solve
+    builders._orderings.cache_clear()
+    calls = count_term_builds(monkeypatch)
+    for lams in ([0.5, 1.0, 1.5], [2.0, 0.7, 1.1]):
+        solve_age(build_heterogeneous_single_source(lams, [1.0, 2.0, 3.0]))
     assert len(calls) == 1
+    model = build_single_source_homogeneous(3, 1.0, 1.0)
+    solve_age(model)
+    solve_age(model)
+    assert len(calls) == 3
 
 
 def dense_age(model):
@@ -290,6 +305,57 @@ def test_blocks_follow_the_coordinates_read():
     for model in (distinct, shared):
         v, aoi = dense_age(model)
         assert np.max(np.abs(solve_age(model).v - v) / v) < 1e-12
+
+
+def hand_made_copy(model):
+    """The same chain in fresh, writeable arrays, which has no plan to reuse."""
+    return ShsModel(model.num_states, model.age_dim, model.source.copy(), model.target.copy(),
+                    model.rate.copy(), model.take.copy(), model.growth.copy())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(_RATE, _RATE), min_size=n, max_size=n)))
+def test_planned_solve_equals_the_solve_planned_on_the_spot(pairs):
+    planned = build_heterogeneous_single_source(*zip(*pairs))
+    copy = hand_made_copy(planned)
+    assert copy._plan is None and copy.take.flags.writeable
+    sol, own = solve_age(planned), solve_age(copy)
+    assert sol.v.tobytes() == own.v.tobytes() and sol.pi.tobytes() == own.pi.tobytes()
+    assert repr(sol.aoi) == repr(own.aoi)
+    v, aoi = dense_age(copy)
+    assert np.max(np.abs(sol.v - v) / v) < 1e-12
+    assert abs(sol.aoi - aoi) < 1e-12 * aoi
+
+
+def test_builds_of_one_n_share_one_read_only_plan():
+    a = build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
+    b = build_heterogeneous_single_source([2.0, 0.7, 1.1], [3.0, 1.0, 0.4])
+    assert a._plan is not None and a._plan is b._plan
+    assert a.take is b.take and a.rate is not b.rate
+    assert build_heterogeneous_single_source([1.0] * 4, [1.0] * 4)._plan is not a._plan
+    for array in (a.source, a.target, a.take, a.growth):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_model_with_replaced_arrays_is_planned_anew(monkeypatch):
+    model = build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
+    expected = solve_age(model)
+    calls = count_term_builds(monkeypatch)
+    solve_age(model)
+    assert calls == []
+    # the same maps in a new array; then a map the plan never saw: state 0's
+    # first delivery (row 3) also resets the freshest server's age
+    model.take = model.take.copy()
+    assert solve_age(model).v.tobytes() == expected.v.tobytes()
+    assert len(calls) == 1
+    model.take[3, 1] = -1
+    changed = solve_age(model)
+    assert len(calls) == 2
+    own = solve_age(hand_made_copy(model))
+    assert changed.v.tobytes() == own.v.tobytes()
+    assert changed.aoi != expected.aoi
 
 
 def record_age_solves(monkeypatch):
