@@ -65,10 +65,10 @@ def build_multi_source_homogeneous(
 
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
     reset map, and about n^2 age-system terms (1.5 n^2 in a dense (n + 1)^2
-    system with other sources), so peak memory is about 75 n^2 bytes (125 n^2
-    with other sources). n = 2,000 builds in 0.1 s and solves in 0.4 to 0.5 s
-    at 0.35 GB, and n = 3,000 in 0.2 s and 0.9 s at 0.68 GB (one BLAS thread,
-    2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs 30 GB.
+    system with other sources), so peak memory is 75 to 85 n^2 bytes (125 to
+    130 n^2 with other sources). n = 2,000 builds in 0.1 s and solves in 0.4 to 0.5 s
+    at 0.34 GB, and n = 3,000 in 0.2 s and 1.0 s at 0.68 GB (one BLAS thread,
+    2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs about 30 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")

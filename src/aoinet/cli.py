@@ -73,7 +73,8 @@ _OPTIMIZE_FIELDS = ("kind", "total_arrival", "service_total", "mu1_grid")
 _ENGINE_NAMES = ("analytic", "shs", "sim")
 _RECIPES = ("fig4", "fig5", "fig6")
 # the most servers a servers-sweep point may have; at this count the
-# exchangeable chain alone needs about 6.5 GB (65 n^2 bytes)
+# exchangeable chain alone needs about 8 GB (75 to 85 n^2 bytes), 13 GB
+# with other sources
 _MAX_SWEEP_SERVERS = 10_000
 CSV_HEADER = "param,engine,source,aoi,ci_half_width,error"
 

@@ -17,19 +17,24 @@ A chain is written only as these arrays, which `ShsModel` checks; the
 `ShsTransition` records of `ShsModel.transitions` are a read view of its rows.
 
 Both linear systems have one form, diag * x = rhs + the sum of rate *
-x[unknown] over the terms (equation, unknown, rate), which `_matrix` assembles
-and `_residual` checks. Stationary balance: diag is the exit rates, each
-transition is a term (target, source, rate), rhs is 0. Expected age: diag and
+x[unknown] over the terms (equation, unknown, rate), which `_residual` checks,
+and are solved as stacks: k equal systems of g unknowns, shape (k, g, g),
+which `_stack` assembles. Stationary balance: diag is the exit rates, each
+transition is a term (target, source, rate), rhs is 0, and one equation is
+replaced by normalization; it is one (1, s, s) stack. Expected age: diag and
 terms are `_age_terms`, rhs is growth * pi. A self-loop that keeps a
 coordinate (a self-copy) is left out of both, so each diagonal entry is a sum
-of positive rates. The system is solved in blocks of coordinates taken in the
-order 1, ..., d - 1, 0, a block ending where no equation so far reads a later
-coordinate (`_age_blocks`); server coordinates ordered freshest first read no
-staler one. When there are several blocks, each block's unknowns fall into
-groups that no term of the block links (`_groups`), and each group is solved
-alone: a group of one unknown by division, the groups of one size as one
-stacked solve, and a block of one group as one dense solve. With distinct
-servers, server coordinate c's block splits into groups of (c - 1)! states.
+of positive rates. The age system is solved in blocks of coordinates taken in
+the order 1, ..., d - 1, 0, a block ending where no equation so far reads a
+later coordinate (`_age_blocks`); server coordinates ordered freshest first
+read no staler one. A system of one block is one group in index order, one
+(1, N, N) stack, planned without `_groups` or a sort. When there are several
+blocks, each block's unknowns fall into groups that no term of the block
+links (`_groups`), and the groups of one size are one stack: a block of one
+group is a stack of one, and a group of one unknown is a division. With
+distinct servers, server coordinate c's block splits into groups of
+(c - 1)! states. The first block reads no solved unknowns, so only the later
+ones take the solved blocks' terms into their rhs.
 
 A solve is split into a plan and a numeric pass. The plan (`ShsPlan`) holds
 what follows from the structural arrays alone (`num_states`, `source`,
@@ -47,7 +52,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -200,33 +204,36 @@ def _plan_part(model: ShsModel, part: str):
 
 
 class _BalancePlan:
-    """The balance system's rate-free part: irreducibility and the state-changing moves."""
+    """The balance system's rate-free part: irreducibility and the state-changing moves.
+
+    `place` is each move's flat position in the (1, s, s) stack.
+    """
 
     def __init__(self, model: ShsModel) -> None:
         self.connected = _strongly_connected(model)
         self.moves = np.flatnonzero(model.source != model.target)
-        self.source, self.target = model.source[self.moves], model.target[self.moves]
+        self.source = model.source[self.moves]
+        self.place = model.target[self.moves] * model.num_states + self.source
 
 
 class _AgePlan:
     """The age system's rate-free part, from `_age_index`.
 
     `diag` is (entry, transition) pairs and `terms` (equation, unknown,
-    transition) triples; `blocks` are those of `_age_blocks`. A system of
-    several blocks has `steps`, the `_Block` of each in solve order, and
-    `pos`, each flat unknown's place in the blocks' local orders, one block
-    after another; a system of one block has None for both.
+    transition) triples; `blocks` are those of `_age_blocks`. `steps` holds
+    each block's slice of the terms and its stacks: per group size g in
+    increasing order, the (k, g) array of the k groups' flat unknowns, each
+    group's in index order, and the terms that link them (an index array or a
+    slice), in term order. The term of equation e and unknown u sits at flat
+    position row[e] + col[u] of its stack.
     """
 
     def __init__(self, model: ShsModel) -> None:
         self.size = model.num_states * model.age_dim
-        diag, terms, self.blocks = _age_index(model)
-        self.pos = self.steps = None
-        if len(self.blocks) > 1:
-            self.pos, self.steps = _block_steps(
-                model.num_states, model.age_dim, self.blocks, *terms[:2]
-            )
-        self.diag, self.terms = diag, terms
+        self.diag, self.terms, self.blocks = _age_index(model)
+        self.row, self.col, self.steps = _block_steps(
+            model.num_states, model.age_dim, self.blocks, *self.terms[:2]
+        )
 
     def system(self, rate: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The diagonal and the copy terms (equation, unknown, rate) for these rates."""
@@ -235,17 +242,35 @@ class _AgePlan:
         diag = np.bincount(at, weights=rate[k], minlength=self.size)
         return diag, (eq, unknown, rate[term])
 
+    def stack(self, diag: np.ndarray, terms: tuple, at: np.ndarray, own) -> np.ndarray:
+        """The stack of the groups `at` from the system's diagonal, its terms and their `own`."""
+        eq, unknown, rate = terms
+        place = self.row[eq[own]]
+        place += self.col[unknown[own]]
+        return _stack(diag[at], place, rate[own])
+
+
+def _stack(diag: np.ndarray, place: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """The stack of k systems diag * x - sum of rate * x[unknown], shape (k, g, g).
+
+    diag is (k, g), and place each term's flat position in the stack.
+    """
+    k, g = diag.shape
+    m = np.zeros((k, g, g))
+    m.reshape(k, g * g)[:, :: g + 1] = diag
+    # repeated entries accumulate in term order; flat positions are the fast path
+    np.subtract.at(m.reshape(-1), place, rate)
+    return m
+
 
 def _solve(m: np.ndarray, rhs: np.ndarray, system: str) -> np.ndarray:
-    """Solve m @ x = rhs; a singular system (or an overflowed solution) is NonErgodicError.
+    """Solve the stack m @ x = rhs, shape (k, g, g) with rhs (k, g).
 
-    m may also be a stack of k systems of g unknowns, shape (k, g, g) with rhs
-    (k, g); a stack of 1 x 1 systems is a division.
+    A stack of 1 x 1 systems is a division. A singular system (or an
+    overflowed solution) is NonErgodicError.
     """
     try:
-        if m.ndim == 2:
-            x = np.linalg.solve(m, rhs)
-        elif m.shape[1] == 1:
+        if m.shape[1] == 1:
             # a zero divisor gives inf or nan, refused below
             with np.errstate(all="ignore"):
                 x = rhs / m[:, 0]
@@ -267,7 +292,8 @@ def _groups(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     # a link repeated back to back adds nothing: exchangeable servers' terms
     # repeat a few links many times
-    new = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     a, b = a[new], b[new]
     # a forest with root[i] <= i: hook each link's larger root onto the
     # smaller, then point every unknown at its root, until no link is between roots
@@ -280,55 +306,24 @@ def _groups(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return root, np.bincount(root)[root]
 
 
-class _Block(NamedTuple):
-    """One age block's rate-free part: its unknowns, its terms and their groups.
-
-    `idx` holds the block's flat unknowns, in its local order, and `terms`
-    the slice of the terms of its equations. `own` holds the terms that read
-    its own unknowns. A block of several groups (`_groups`) has `stacks`:
-    per group size g in increasing order, the (k, g) array of the k groups'
-    local unknowns in index order, and each of their terms' flat position in
-    the (k, g, g) stack of the groups' systems, and the term. Each part keeps
-    the term order.
-    """
-
-    idx: np.ndarray
-    terms: slice
-    own: np.ndarray
-    stacks: list | None
-
-    def solve(self, diag: np.ndarray, terms: tuple, rhs: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The block's unknowns from its diagonal and rhs, the system's terms and `_AgePlan.pos`."""
-        eq, unknown, rate = terms
-        if self.stacks is None:
-            start, own = pos[self.idx[0]], self.own
-            local = pos[eq[own]] - start, pos[unknown[own]] - start, rate[own]
-            return _solve(_matrix(diag, local), rhs, "age")
-        x = np.empty_like(rhs)
-        for at, place, term in self.stacks:
-            count, g = at.shape
-            m = np.zeros((count, g, g))
-            m.reshape(count, g * g)[:, :: g + 1] = diag[at]
-            # repeated entries accumulate in term order, as in `_matrix`
-            np.subtract.at(m.reshape(-1), place, rate[term])
-            x[at] = _solve(m, rhs[at], "age")
-        return x
-
-
 def _block_steps(s: int, d: int, blocks: list, eq: np.ndarray,
-                 unknown: np.ndarray) -> tuple[np.ndarray, list[_Block]]:
-    """`_AgePlan.pos`, and the `_Block` of each block of `_age_blocks`.
+                 unknown: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """`_AgePlan.row`, `.col` and `.steps` for the blocks of `_age_blocks`.
 
-    A block's local order is state-major over its coordinates. The unknowns
-    are numbered in solve order, block after block, each block's in its
-    local order. No term links two blocks, so one `_groups` call splits every
-    block, and one sort orders the split blocks' unknowns by group size, then
-    group, then index: a run of one block and one size is a stack.
+    A system of one block is one group in index order. Otherwise the
+    unknowns are numbered in solve order, block after block, each block's
+    state-major over its coordinates. No term links two blocks, so one
+    `_groups` call splits every block, and one sort orders the numbered
+    unknowns by block, group size, group and number: a run of one block and
+    one size is a stack.
     """
+    n = s * d
+    if len(blocks) == 1:
+        at, every = np.arange(n), slice(0, eq.size)
+        return at * n, at, [(every, [(at[None], every)])]
     count = np.array([c.size for _, _, c in blocks])  # coordinates per block
     off = np.zeros(count.size + 1, dtype=np.intp)
     np.cumsum(count * s, out=off[1:])
-    width = np.diff(off)
     # pos[q * d + c]: the unknown's block offset plus q * count + j, where c
     # is the j-th coordinate of its block
     coords = np.concatenate([c for _, _, c in blocks])
@@ -337,54 +332,41 @@ def _block_steps(s: int, d: int, blocks: list, eq: np.ndarray,
     base[coords] = off[block] + np.arange(d) - np.repeat(np.cumsum(count) - count, count)
     step[coords] = count[block]
     pos = (np.arange(s)[:, None] * step + base).ravel()
-    at = np.arange(pos.size)
-    idx = np.empty_like(pos)
-    idx[pos] = at
-    ends = [0, *(hi for _, hi, _ in blocks)]
     # a term whose unknown lies before its block's reads a solved block; the
-    # others link unknowns of their block
+    # others (own) link unknowns of their block
     u = pos[unknown]
     own = np.flatnonzero(np.concatenate(
         [u[lo:hi] >= start for (lo, hi, _), start in zip(blocks, off)]
     ))
     u = u[own]
     e = pos[eq[own]]
-    group, size = _groups(pos.size, e, u)
-    # a block of one group is solved whole
-    dense = size[off[:-1]] == width
-    cut = np.searchsorted(own, ends)
-    steps = [
-        _Block(idx[off[b]:off[b + 1]], slice(ends[b], ends[b + 1]), own[cut[b]:cut[b + 1]],
-               None if dense[b] else [])
-        for b in range(count.size)
-    ]
-    # a term's unknowns share a group, so a run: the terms by run, in term
-    # order, at their unknowns' places in the run's stack
-    split = np.flatnonzero(~np.repeat(dense, np.diff(cut)))
-    e, u, own = e[split], u[split], own[split]
-    block = np.repeat(np.arange(count.size), width)
+    group, size = _groups(n, e, u)
+    del u
+    block = np.repeat(np.arange(count.size), np.diff(off))
     order = np.lexsort((group, size, block))
     sorted_size, block = size[order], block[order]
-    first = np.concatenate(
-        ([True], (sorted_size[1:] != sorted_size[:-1]) | (block[1:] != block[:-1]))
-    )
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sorted_size[1:] != sorted_size[:-1]) | (block[1:] != block[:-1])
     starts = np.flatnonzero(first)
+    at = np.arange(n)
+    # run: each numbered unknown's stack; rank: its place in the stack's k * g
     run, rank = np.empty_like(at), np.empty_like(at)
     run[order] = np.cumsum(first) - 1
     rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
-    by_run = np.argsort(run[e], kind="stable")
-    e, u, own = e[by_run], u[by_run], own[by_run]
-    g = size[e]
-    place = g * rank[e] + rank[u] % g
-    bounds = np.searchsorted(run[e], np.arange(starts.size + 1))
-    for r, (a, z) in enumerate(zip(starts, [*starts[1:], pos.size])):
-        b = block[a]
-        if not dense[b]:
-            t = slice(bounds[r], bounds[r + 1])
-            steps[b].stacks.append(
-                ((order[a:z] - off[b]).reshape(-1, sorted_size[a]), place[t], own[t])
-            )
-    return pos, steps
+    # a term's unknowns share a group, so a run: the terms by run, in term order
+    e = run[e]
+    own = own[np.argsort(e, kind="stable")]
+    bounds = np.zeros(starts.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(e, minlength=starts.size), out=bounds[1:])
+    idx = np.empty_like(pos)
+    idx[pos] = at
+    steps = [(slice(lo, hi), []) for lo, hi, _ in blocks]
+    for r, (a, z) in enumerate(zip(starts, [*starts[1:], n])):
+        steps[block[a]][1].append(
+            (idx[order[a:z]].reshape(-1, sorted_size[a]), own[bounds[r]:bounds[r + 1]])
+        )
+    rank, size = rank[pos], size[pos]
+    return size * rank, rank % size, steps
 
 
 def _strongly_connected(model: ShsModel) -> bool:
@@ -442,11 +424,12 @@ def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
 
 
 def _age_blocks(kept: np.ndarray, s: int, at: np.ndarray) -> list[tuple]:
-    """(first term, end term, coordinates) of each block, or [(0, None, None)].
+    """(first term, end term, coordinates) of each block.
 
     Coordinate c >= 1 is row c - 1 of kept and the monitor row d - 1, and at
     holds each term's flat index into kept. Merged blocks end at the last
-    block end in each span of BLOCK_UNKNOWNS unknowns.
+    block end in each span of BLOCK_UNKNOWNS unknowns. One block lists its
+    coordinates in index order.
     """
     (d, t), cuts = kept.shape, [0, kept.shape[0]]
     if s * d > BLOCK_UNKNOWNS:
@@ -454,19 +437,9 @@ def _age_blocks(kept: np.ndarray, s: int, at: np.ndarray) -> list[tuple]:
         ends = np.flatnonzero(np.maximum.accumulate(reach) <= np.arange(d)) + 1
         cuts = [0, *ends[np.append(np.diff((ends * s - 1) // BLOCK_UNKNOWNS) > 0, True)]]
     if len(cuts) == 2:
-        return [(0, None, None)]
+        return [(0, at.size, np.arange(d))]
     start, order = np.searchsorted(at, np.multiply(cuts, t)), np.arange(1, d + 1) % d
     return [(lo, hi, order[a:b]) for lo, hi, a, b in zip(start, start[1:], cuts, cuts[1:])]
-
-
-def _matrix(diag: np.ndarray, terms: tuple) -> np.ndarray:
-    """The dense matrix of diag * x - sum of rate * x[unknown], row per equation."""
-    eq, unknown, rate = terms
-    m = np.zeros((diag.size, diag.size))
-    np.fill_diagonal(m, diag)
-    # repeated entries accumulate in term order; flat positions are the fast path
-    np.subtract.at(m.reshape(-1), eq * diag.size + unknown, rate)
-    return m
 
 
 def _residual(diag: np.ndarray, terms: tuple, x: np.ndarray, rhs: np.ndarray | float,
@@ -522,11 +495,11 @@ def stationary_distribution(model: ShsModel) -> np.ndarray:
         raise NonErgodicError(f"exit rate {float(exits.max())!r} is not finite")
     rate = model.rate[plan.moves]
     diag = np.bincount(plan.source, weights=rate, minlength=model.num_states)
-    m = _matrix(diag, (plan.target, plan.source, rate))
-    rhs = np.zeros(model.num_states)
-    m[-1, :] = 1.0
-    rhs[-1] = 1.0
-    pi = _solve(m, rhs, "stationary")
+    m = _stack(diag[None], plan.place, rate)
+    rhs = np.zeros((1, model.num_states))
+    m[0, -1, :] = 1.0
+    rhs[0, -1] = 1.0
+    pi = _solve(m, rhs, "stationary")[0]
     if pi.min() < -1e-12:
         raise NonErgodicError(f"stationary distribution has negative mass {pi.min():.3e}")
     pi = np.maximum(pi, 0.0)
@@ -545,10 +518,9 @@ def solve_age(model: ShsModel) -> ShsSolution:
 
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
-    average age is the sum of v[:, 0]. A system of one block is one dense
-    solve; otherwise each block is solved group by group (`_Block`), after
-    the blocks before it. A chain whose rates span more than MAX_RATE_SPAN is
-    refused with a ValueError after its stationary solve.
+    average age is the sum of v[:, 0]. Each block is solved stack by stack
+    (`_AgePlan.steps`), after the blocks before it. A chain whose rates span more
+    than MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
     """
     pi = stationary_distribution(model)
     span = float(model.rate.max()) / float(model.rate.min())
@@ -560,19 +532,16 @@ def solve_age(model: ShsModel) -> ShsSolution:
     plan = _plan_part(model, "age")
     diag, terms = plan.system(model.rate)
     rhs = (model.growth * pi[:, None]).ravel()
-    if plan.steps is None:
-        flat = _solve(_matrix(diag, terms), rhs, "age")
-    else:
-        # solved blocks' terms go to the rhs; the block's own unknowns are still 0
-        (eq, unknown, rate), flat = terms, np.zeros_like(rhs)
-        for block in plan.steps:
-            idx, t = block.idx, block.terms
-            b = rhs[idx] + np.bincount(
-                eq[t], weights=rate[t] * flat[unknown[t]], minlength=rhs.size
-            )[idx]
-            flat[idx] = block.solve(diag[idx], terms, b, plan.pos)
-    parts = (slice(None),) if plan.steps is None else [block.terms for block in plan.steps]
-    worst = _residual(diag, terms, flat, rhs, parts)
+    (eq, unknown, rate), flat = terms, np.zeros_like(rhs)
+    for i, (t, stacks) in enumerate(plan.steps):
+        b = rhs
+        if i:
+            # the first block reads no solved unknowns; a later one takes the
+            # solved blocks' terms into its rhs, where its own unknowns are still 0
+            b = rhs + np.bincount(eq[t], weights=rate[t] * flat[unknown[t]], minlength=rhs.size)
+        for at, own in stacks:
+            flat[at] = _solve(plan.stack(diag, terms, at, own), b[at], "age")
+    worst = _residual(diag, terms, flat, rhs, [t for t, _ in plan.steps])
     if not worst <= RESIDUAL_RTOL:
         raise NonErgodicError(
             f"age system residual {worst:.3e} exceeds {RESIDUAL_RTOL:.0e}"

@@ -18,8 +18,7 @@ from aoinet.shs import (
     NonErgodicError,
     ShsModel,
     _age_terms,
-    _matrix,
-    _solve,
+    _stack,
     _strongly_connected,
     age_residual,
     balance_residual,
@@ -170,8 +169,8 @@ def test_vectorized_sums_match_the_transition_loop(case):
                  np.array(take, dtype=int).reshape(-1, d), np.ones((s, d)))
     exit_rates, balance, connected, age_diag, age_terms = loop_reference(m)
     assert m.exit_rates().tobytes() == exit_rates.tobytes()
-    balance_terms = (m.target, m.source, m.rate)
-    assert _matrix(m.exit_rates(), balance_terms).tobytes() == balance.tobytes()
+    place = m.target * s + m.source
+    assert _stack(m.exit_rates()[None], place, m.rate)[0].tobytes() == balance.tobytes()
     assert _strongly_connected(m) == connected
     diag, terms, _ = _age_terms(m)
     assert diag.tobytes() == age_diag.tobytes()
@@ -247,9 +246,10 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
 def dense_age(model):
     """The expected ages from the whole age system as one dense solve."""
     pi = stationary_distribution(model)
-    diag, terms, _ = _age_terms(model)
-    rhs = (model.growth * pi[:, None]).ravel()
-    flat = _solve(_matrix(diag, terms), rhs, "age")
+    diag, (eq, unknown, rate), _ = _age_terms(model)
+    m = np.diag(diag)
+    np.subtract.at(m, (eq, unknown), rate)
+    flat = np.linalg.solve(m, (model.growth * pi[:, None]).ravel())
     v = np.maximum(flat, 0.0).reshape(model.num_states, model.age_dim)
     return v, float(v[:, 0].sum())
 
@@ -361,7 +361,8 @@ def test_model_with_replaced_arrays_is_planned_anew(monkeypatch):
 def record_age_solves(monkeypatch):
     """The shape of each age system that solve_age hands to `_solve`, in order.
 
-    A stack of k groups of g unknowns is (k, g, g); a dense system is (n, n).
+    Every system is a stack: k groups of g unknowns are (k, g, g), and a
+    block of one group, or a system of one block, is a stack of one.
     """
     shapes = []
 
@@ -382,7 +383,7 @@ def test_blocks_split_into_independent_groups(monkeypatch):
     distinct = build_heterogeneous_single_source([0.5, 1.0, 1.5, 2.0, 2.5], [1.0] * 5)
     shapes = record_age_solves(monkeypatch)
     solve_age(distinct)
-    assert shapes == [(120, 1, 1), (120, 1, 1), (60, 2, 2), (20, 6, 6), (5, 24, 24), (120, 120)]
+    assert shapes == [(120, 1, 1), (120, 1, 1), (60, 2, 2), (20, 6, 6), (5, 24, 24), (1, 120, 120)]
 
 
 def cycle_model(s, take, rate):
@@ -442,6 +443,43 @@ def test_singular_later_block_is_non_ergodic():
     assert [c.tolist() for _, _, c in age_blocks(m)] == [[1], [0]]
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(m)
+
+
+def test_later_block_without_links_is_solved():
+    # the same cycle with coordinate 0 copied from coordinate 1: neither
+    # block has a term between its own unknowns, so every group is one state
+    s = 130
+    state = np.arange(s)
+    m = ShsModel(
+        s, 2, state, (state + 1) % s, np.ones(s), np.tile([1, -1], (s, 1)), np.ones((s, 2))
+    )
+    assert [c.tolist() for _, _, c in age_blocks(m)] == [[1], [0]]
+    assert abs(solve_age(m).aoi - 2.0) < 1e-12 * 2.0
+
+
+def test_one_block_is_planned_without_groups_or_sorts(monkeypatch):
+    # a system of one block is one group in index order: planning it needs
+    # neither the group search nor a sort; with both, the exact_small
+    # benchmark ran a fifth slower
+    calls = []
+
+    def counting(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    monkeypatch.setattr(shs, "_groups", counting("_groups", shs._groups))
+    monkeypatch.setattr(np, "lexsort", counting("lexsort", np.lexsort))
+    shapes = record_age_solves(monkeypatch)
+    shared = build_multi_source_homogeneous(4, 0, [0.5, 0.7], 1.0)
+    exchangeable = build_single_source_homogeneous(5, 0.8, 1.3)
+    for model in (shared, exchangeable):
+        assert len(age_blocks(model)) == 1
+        solve_age(model)
+    assert calls == []
+    assert shapes == [(1, m.num_states * m.age_dim, m.num_states * m.age_dim)
+                      for m in (shared, exchangeable)]
+    # a chain of several blocks takes both
+    solve_age(build_single_source_homogeneous(200, 0.8, 1.3))
+    assert calls == ["_groups", "lexsort"]
 
 
 def test_infinite_exit_rate_is_non_ergodic():
