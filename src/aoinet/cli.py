@@ -517,8 +517,17 @@ def _optimize_report(split, delta: float | None, fmt: str, out: str | None) -> N
 
 
 def _grid_delta(split, objective, lam: float, eps: float = 0.0) -> float:
-    """Distance of the split's first rate from a golden-section search on [eps, lam - eps]."""
-    gx, _ = grid_minimize(objective, eps, lam - eps, tol=1e-9 * lam)
+    """Distance of the split's first rate from a golden-section search on [eps, lam - eps].
+
+    The search resolves 1e-9 of the total lam, so a total whose 1e-9 is 0 in
+    floats, or whose ages overflow on that interval, is a ConfigError naming it.
+    """
+    if not 1e-9 * lam > 0:
+        raise ConfigError(f"total arrival rate {lam!r} is too small for the grid check")
+    try:
+        gx, _ = grid_minimize(objective, eps, lam - eps, tol=1e-9 * lam)
+    except ValueError as e:
+        raise ConfigError(f"grid check overflows at total arrival rate {lam!r}: {e}") from None
     return abs(split.rates[0] - gx)
 
 

@@ -78,6 +78,9 @@ def optimal_hetero_split_n2(lam: float, mu1: float, mu2: float) -> SplitResult:
     mu2 = positive_rate("mu2", mu2)
 
     c = mu1 * (lam + mu2) / (mu2 * (lam + mu1))
+    # rates near the float maximum overflow the products to inf or nan
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"the split overflows at lam = {lam!r}, mu1 = {mu1!r}, mu2 = {mu2!r}")
     boundary = False
     if abs(c - 1.0) < _EQUAL_SERVICE_RTOL:
         lam1 = 0.5 * lam
@@ -122,20 +125,22 @@ def grid_minimize(
     def f(x: float) -> float:
         y = float(objective(x))
         if not math.isfinite(y):
-            raise ValueError(f"objective is not finite at {x!r}")
+            raise ValueError(f"objective is not finite at {float(x)!r}")
         return y
 
-    xs = np.linspace(lo, hi, _COARSE_POINTS)
-    ys = [f(x) for x in xs]
-    k = int(np.argmin(ys))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, _COARSE_POINTS - 1)]
-    while b - a > tol:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        if f(c) <= f(d):
-            b = d
-        else:
-            a = c
-    x = 0.5 * (a + b)
-    return x, f(x)
+    # the points are numpy floats, whose overflow f refuses instead of a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xs = np.linspace(lo, hi, _COARSE_POINTS)
+        ys = [f(x) for x in xs]
+        k = int(np.argmin(ys))
+        a = xs[max(k - 1, 0)]
+        b = xs[min(k + 1, _COARSE_POINTS - 1)]
+        while b - a > tol:
+            c = b - _INVPHI * (b - a)
+            d = a + _INVPHI * (b - a)
+            if f(c) <= f(d):
+                b = d
+            else:
+                a = c
+        x = 0.5 * (a + b)
+        return x, f(x)

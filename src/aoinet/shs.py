@@ -36,15 +36,18 @@ distinct servers, server coordinate c's block splits into groups of
 (c - 1)! states. The first block reads no solved unknowns, so only the later
 ones take the solved blocks' terms into their rhs.
 
-A solve is split into a plan and a numeric pass. The plan (`ShsPlan`) holds
+A solve is split into a plan and a numeric pass. One plan (`ShsPlan`) holds
 what follows from the structural arrays alone (`num_states`, `source`,
-`target`, `take`, `growth`): the irreducibility verdict, which every rate
-being positive makes structural, the transitions that change state, the age
-system's terms as indices into `rate`, its blocks and their groups. The
-numeric pass gathers the rates into them, adding the same terms in the same
-order, so a planned solve gives the same bytes. A model made by
-`ShsPlan.model` reuses its plan for as long as it holds the very arrays the
-plan was made from; any other model is planned on the spot, on every solve.
+`target`, `take`, `growth`) for both systems: the irreducibility verdict,
+which every rate being positive makes structural, the transitions that
+change state and their places in the balance stack, and the age system's
+terms as indices into `rate`, its blocks and their groups. The numeric pass
+gathers the rates into them, adding the same terms in the same order, so a
+planned solve gives the same bytes. `solve_age` takes the model's own plan
+while it fits (`ShsPlan.fits`: the model holds the very arrays the plan was
+made from, as a model made by `ShsPlan.model` does), else plans the model on
+the spot, and hands that plan to `stationary_distribution`, so each solve
+plans at most once.
 A plan is never changed once built, so threads may share it.
 """
 from __future__ import annotations
@@ -125,12 +128,14 @@ class ShsModel:
         if not np.all(np.isfinite(rate) & (rate > 0)):
             raise ValueError("transition rate must be finite and > 0")
         if take.dtype.kind not in "iu" or not np.all((take >= -1) & (take < take.shape[1])):
-            raise ValueError("reset map must be a 1-D integer array in [-1, d)")
+            raise ValueError(
+                "take must be a (transitions, age_dim) integer array in [-1, age_dim)"
+            )
         for q in (source, target):
             if q.dtype.kind not in "iu" or not np.all((q >= 0) & (q < self.num_states)):
                 raise ValueError("transition state index out of range")
         if take.shape[1] != self.age_dim:
-            raise ValueError("reset map shape must be (age_dim,)")
+            raise ValueError("take must have shape (transitions, age_dim)")
         self.source, self.target, self.take = (
             a.astype(np.intp, copy=False) for a in (source, target, take)
         )
@@ -169,17 +174,40 @@ class ShsSolution:
 
 
 class ShsPlan:
-    """The rate-free part of solving one chain structure, built once and never changed.
+    """The rate-free part of solving one chain, built once and never changed.
 
     Made from a model's structural arrays; `model(rate)` makes models on
-    those arrays that reuse it (see the module docstring).
+    those arrays that reuse it (see the module docstring). Balance:
+    `connected` is the irreducibility verdict, `moves` the transitions that
+    change state, `mover` their sources and `place` their flat positions in
+    the (1, s, s) stack. Age: `diag` is (entry, transition) pairs and
+    `terms` (equation, unknown, transition) triples, from `_age_index`;
+    `blocks` are those of `_age_blocks`. `steps` holds each block's slice of
+    the terms and its stacks: per group size g in increasing order, the
+    (k, g) array of the k groups' flat unknowns, each group's in index
+    order, and the terms that link them (an index array or a slice), in term
+    order. The term of equation e and unknown u sits at flat position
+    row[e] + col[u] of its stack.
     """
 
     def __init__(self, model: ShsModel) -> None:
-        self.num_states = model.num_states
+        s = self.num_states = model.num_states
         self.arrays = model.source, model.target, model.take, model.growth
-        self.balance = _BalancePlan(model)
-        self.age = _AgePlan(model)
+        self.connected = _strongly_connected(model)
+        self.moves = np.flatnonzero(model.source != model.target)
+        self.mover = model.source[self.moves]
+        self.place = model.target[self.moves] * s + self.mover
+        self.diag, self.terms, self.blocks = _age_index(model)
+        self.row, self.col, self.steps = _block_steps(
+            s, model.age_dim, self.blocks, *self.terms[:2]
+        )
+
+    def fits(self, model: ShsModel) -> bool:
+        """Whether the model holds the very arrays the plan was made from."""
+        arrays = model.source, model.target, model.take, model.growth
+        return self.num_states == model.num_states and all(
+            a is b for a, b in zip(arrays, self.arrays)
+        )
 
     def model(self, rate: np.ndarray) -> ShsModel:
         """A model on the plan's arrays with these rates, checked like any other."""
@@ -188,58 +216,11 @@ class ShsPlan:
         model._plan = self
         return model
 
-
-def _plan_part(model: ShsModel, part: str):
-    """The plan part `part` ("balance" or "age") for this model.
-
-    The model's own plan if it still holds the arrays the plan was made from,
-    checked by identity; else the part is planned now.
-    """
-    plan = model._plan
-    if plan is not None and plan.num_states == model.num_states and all(
-        a is b for a, b in zip((model.source, model.target, model.take, model.growth), plan.arrays)
-    ):
-        return getattr(plan, part)
-    return _BalancePlan(model) if part == "balance" else _AgePlan(model)
-
-
-class _BalancePlan:
-    """The balance system's rate-free part: irreducibility and the state-changing moves.
-
-    `place` is each move's flat position in the (1, s, s) stack.
-    """
-
-    def __init__(self, model: ShsModel) -> None:
-        self.connected = _strongly_connected(model)
-        self.moves = np.flatnonzero(model.source != model.target)
-        self.source = model.source[self.moves]
-        self.place = model.target[self.moves] * model.num_states + self.source
-
-
-class _AgePlan:
-    """The age system's rate-free part, from `_age_index`.
-
-    `diag` is (entry, transition) pairs and `terms` (equation, unknown,
-    transition) triples; `blocks` are those of `_age_blocks`. `steps` holds
-    each block's slice of the terms and its stacks: per group size g in
-    increasing order, the (k, g) array of the k groups' flat unknowns, each
-    group's in index order, and the terms that link them (an index array or a
-    slice), in term order. The term of equation e and unknown u sits at flat
-    position row[e] + col[u] of its stack.
-    """
-
-    def __init__(self, model: ShsModel) -> None:
-        self.size = model.num_states * model.age_dim
-        self.diag, self.terms, self.blocks = _age_index(model)
-        self.row, self.col, self.steps = _block_steps(
-            model.num_states, model.age_dim, self.blocks, *self.terms[:2]
-        )
-
     def system(self, rate: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The diagonal and the copy terms (equation, unknown, rate) for these rates."""
+        """The age diagonal and copy terms (equation, unknown, rate) for these rates."""
         at, k = self.diag
         eq, unknown, term = self.terms
-        diag = np.bincount(at, weights=rate[k], minlength=self.size)
+        diag = np.bincount(at, weights=rate[k], minlength=self.row.size)
         return diag, (eq, unknown, rate[term])
 
     def stack(self, diag: np.ndarray, terms: tuple, at: np.ndarray, own) -> np.ndarray:
@@ -248,6 +229,12 @@ class _AgePlan:
         place = self.row[eq[own]]
         place += self.col[unknown[own]]
         return _stack(diag[at], place, rate[own])
+
+
+def _plan(model: ShsModel) -> ShsPlan:
+    """The model's own plan while it fits the model, else a plan made now."""
+    plan = model._plan
+    return plan if plan is not None and plan.fits(model) else ShsPlan(model)
 
 
 def _stack(diag: np.ndarray, place: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -308,7 +295,7 @@ def _groups(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _block_steps(s: int, d: int, blocks: list, eq: np.ndarray,
                  unknown: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """`_AgePlan.row`, `.col` and `.steps` for the blocks of `_age_blocks`.
+    """`ShsPlan.row`, `.col` and `.steps` for the blocks of `_age_blocks`.
 
     A system of one block is one group in index order. Otherwise the
     unknowns are numbered in solve order, block after block, each block's
@@ -419,7 +406,7 @@ def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
 
     The model's rates gathered into its plan's indices (see `_age_index`).
     """
-    plan = _plan_part(model, "age")
+    plan = _plan(model)
     return (*plan.system(model.rate), plan.blocks)
 
 
@@ -479,22 +466,24 @@ def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     return _residual(diag, terms, v.ravel(), (model.growth * pi[:, None]).ravel())
 
 
-def stationary_distribution(model: ShsModel) -> np.ndarray:
+def stationary_distribution(model: ShsModel, *, plan: ShsPlan | None = None) -> np.ndarray:
     """Stationary distribution of the discrete chain.
 
     Checks irreducibility by reachability first; one balance equation is
     replaced by normalization, and the full balance residual is verified on
     the solution. The solved matrix leaves out self-loops: they do not change
     the balance, and their cancelling diagonal entries lose small rates.
+    `plan` is used only if it fits the model; else the model's is (`_plan`).
     """
-    plan = _plan_part(model, "balance")
+    if plan is None or not plan.fits(model):
+        plan = _plan(model)
     if not plan.connected:
         raise NonErgodicError("chain is not irreducible")
     exits, terms = model.exit_rates(), (model.target, model.source, model.rate)
     if not np.all(np.isfinite(exits)):
         raise NonErgodicError(f"exit rate {float(exits.max())!r} is not finite")
     rate = model.rate[plan.moves]
-    diag = np.bincount(plan.source, weights=rate, minlength=model.num_states)
+    diag = np.bincount(plan.mover, weights=rate, minlength=model.num_states)
     m = _stack(diag[None], plan.place, rate)
     rhs = np.zeros((1, model.num_states))
     m[0, -1, :] = 1.0
@@ -519,17 +508,17 @@ def solve_age(model: ShsModel) -> ShsSolution:
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
     average age is the sum of v[:, 0]. Each block is solved stack by stack
-    (`_AgePlan.steps`), after the blocks before it. A chain whose rates span more
+    (`ShsPlan.steps`), after the blocks before it. A chain whose rates span more
     than MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
     """
-    pi = stationary_distribution(model)
+    plan = _plan(model)
+    pi = stationary_distribution(model, plan=plan)
     span = float(model.rate.max()) / float(model.rate.min())
     if not span <= MAX_RATE_SPAN:
         raise ValueError(
             f"rate span {span:.3g} (max rate / min rate) is above {MAX_RATE_SPAN:g}, "
             f"where the age solve loses the smaller rates"
         )
-    plan = _plan_part(model, "age")
     diag, terms = plan.system(model.rate)
     rhs = (model.growth * pi[:, None]).ravel()
     (eq, unknown, rate), flat = terms, np.zeros_like(rhs)

@@ -359,6 +359,11 @@ def test_hetero_validation():
         build_heterogeneous_single_source([1.0, 0.0], [1.0, 1.0])
 
 
+def test_hetero_needs_a_server():
+    with pytest.raises(ValueError, match="^need at least one server$"):
+        build_heterogeneous_single_source([], [])
+
+
 def hetero_oracle(lams, mus):
     """The distinct-server chain written one transition row at a time.
 

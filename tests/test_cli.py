@@ -614,12 +614,15 @@ def assert_one_line_exit_2(capsys, argv, word):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("aoinet: error:") and err.count("\n") == 1 and word in err
+    return err
 
 
 @pytest.mark.parametrize(
     "key, value",
     [("total_arrival", None), ("mu1_grid", ["a"]),
-     pytest.param("total_arrival", 10**400, id="total_arrival-huge-int")],
+     pytest.param("total_arrival", 10**400, id="total_arrival-huge-int"),
+     pytest.param("kind", "weighted", id="kind-weighted"),
+     pytest.param("mu1_grid", [2.0, 100.0], id="mu1_grid-at-service_total")],
 )
 def test_main_optimize_rejects_malformed_spec(tmp_path, capsys, key, value):
     doc = json.loads(_read_spec_text("fig5"))
@@ -671,6 +674,12 @@ def test_main_sweep_rejects_out_of_range_run_fields(tmp_path, capsys, fields, wo
     path = tmp_path / "spec.json"
     path.write_text(sweep_doc(parameter="servers", grid=[1], engines=["sim"], **fields))
     assert_one_line_exit_2(capsys, ["sweep", "--spec", str(path)], word)
+
+
+def test_main_sweep_needs_a_sweep_object(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"config": config_doc(), "sweep": []}))
+    assert_one_line_exit_2(capsys, ["sweep", "--spec", str(path)], "'sweep' must be an object")
 
 
 # a base config each parameter applies to, so a grid point that got through
@@ -811,6 +820,27 @@ def test_main_optimize_rejects_malformed_weights(capsys, weights):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"aoinet: error: --weights must be comma-separated numbers, not {weights!r}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        ("--kind weighted --weights 1,2 --total 1e-320 --mu 1", "1e-320"),
+        ("--kind hetero-n2 --total 1e-320 --mu1 1 --mu2 2", "1e-320"),
+        ("--kind weighted --weights 1,2 --total 1e-300 --mu 1", "overflows"),
+        ("--kind hetero-n2 --total 1e308 --mu1 1e308 --mu2 1e308", "overflows"),
+        # no numpy overflow warning may come before the error line
+        ("--kind hetero-n2 --total 1e-310 --mu1 1 --mu2 2", "overflows"),
+        ("--kind hetero-n2 --total 10 --mu1 30", "--mu2"),
+    ],
+    ids=["weighted-tiny-total", "hetero-tiny-total", "weighted-overflow", "hetero-overflow",
+         "hetero-overflow-warning", "hetero-no-mu2"],
+)
+def test_main_optimize_refusals_name_the_input(capsys, flags, word):
+    # the grid check resolves 1e-9 of the total, which is 0 for a subnormal
+    # total; the line names the input, not internal variables or numpy reprs
+    err = assert_one_line_exit_2(capsys, ["optimize", *flags.split()], word)
+    assert not any(name in err for name in ("tol", "lam1", "np.float64("))
 
 
 EXCHANGEABLE = (HomogeneityClass.HOMOGENEOUS_SINGLE_SOURCE,

@@ -67,6 +67,11 @@ def test_row_count_mismatch_reported():
         NetworkConfig(2, 2, [[1.0, 1.0]], [1.0, 1.0], "lcfs-s")
 
 
+def test_service_rate_count_mismatch_reported():
+    with pytest.raises(ConfigError, match=r"^service_rates has 1 entries, expected 2$"):
+        NetworkConfig(1, 2, [[1, 1]], [1.0])
+
+
 def test_negative_arrival_rate_rejected():
     with pytest.raises(ConfigError, match=r"^arrival_rates\[0\] entries must be finite and >= 0$"):
         cfg(rates=[[1.0, -0.5]])

@@ -17,6 +17,7 @@ from aoinet.shs import (
     NegativeSolutionError,
     NonErgodicError,
     ShsModel,
+    ShsPlan,
     _age_terms,
     _stack,
     _strongly_connected,
@@ -73,14 +74,18 @@ def array_model(**change):
     [
         (dict(rate=[1.0, 0.0]), "transition rate must be finite and > 0"),
         (dict(rate=[1.0, np.nan]), "transition rate must be finite and > 0"),
-        (dict(take=[[0, 2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
-        (dict(take=[[0, -2], [0, 1]]), "reset map must be a 1-D integer array in [-1, d)"),
-        (dict(take=[[0.0, 1.0], [0.0, 1.0]]), "reset map must be a 1-D integer array"),
-        (dict(take=[[True, False], [False, True]]), "reset map must be a 1-D integer array"),
+        (dict(take=[[0, 2], [0, 1]]),
+         "take must be a (transitions, age_dim) integer array in [-1, age_dim)"),
+        (dict(take=[[0, -2], [0, 1]]),
+         "take must be a (transitions, age_dim) integer array in [-1, age_dim)"),
+        (dict(take=[[0.0, 1.0], [0.0, 1.0]]),
+         "take must be a (transitions, age_dim) integer array"),
+        (dict(take=[[True, False], [False, True]]),
+         "take must be a (transitions, age_dim) integer array"),
         (dict(source=[0, 2]), "transition state index out of range"),
         (dict(target=[-1, 0]), "transition state index out of range"),
         (dict(source=[0.0, 1.0]), "transition state index out of range"),
-        (dict(take=[[0, 1, 2], [0, 1, 2]]), "reset map shape must be (age_dim,)"),
+        (dict(take=[[0, 1, 2], [0, 1, 2]]), "take must have shape (transitions, age_dim)"),
         (dict(rate=[1.0]), "one entry per row of take"),
         (dict(take=[0, 1]), "one entry per row of take"),
         (dict(take=np.zeros((2, 2, 2), dtype=int)), "one entry per row of take"),
@@ -95,6 +100,17 @@ def test_model_validates_its_arrays(change, message):
     # out of range, non-integer (never truncated), or not one map per row
     with pytest.raises(ValueError, match=re.escape(message)):
         array_model(**change)
+
+
+@pytest.mark.parametrize(
+    "num_states, growth, message",
+    [(0, np.ones((0, 2)), "num_states and age_dim must be >= 1"),
+     (2, [[1, 2], [1, 1]], "growth entries must be 0 or 1")],
+    ids=["no-states", "growth-of-2"],
+)
+def test_model_checks_its_states_and_growth(num_states, growth, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShsModel(num_states, 2, [0, 1], [1, 0], [1.0, 2.0], [[0, 1], [0, -1]], growth)
 
 
 def test_transitions_view_yields_the_packed_records():
@@ -241,6 +257,48 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     solve_age(model)
     solve_age(model)
     assert len(calls) == 3
+
+
+def count_plans(monkeypatch):
+    """The models planned (`ShsPlan.__init__`), in order."""
+    calls = []
+
+    def counting(self, model):
+        calls.append(model)
+        real(self, model)
+
+    real = ShsPlan.__init__
+    monkeypatch.setattr(ShsPlan, "__init__", counting)
+    return calls
+
+
+def test_each_solve_plans_at_most_once(monkeypatch):
+    # one plan serves the balance and the age system: a hand-made model is
+    # planned once per solve, and a builder's cached n never again
+    builders._orderings.cache_clear()
+    calls = count_plans(monkeypatch)
+    model = build_single_source_homogeneous(3, 1.0, 1.0)
+    solve_age(model)
+    assert calls == [model]
+    solve_age(model)
+    assert len(calls) == 2
+    solve_age(build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]))
+    assert len(calls) == 3
+    solve_age(build_heterogeneous_single_source([2.0, 0.7, 1.1], [3.0, 1.0, 0.4]))
+    assert len(calls) == 3
+
+
+def test_a_plan_that_does_not_fit_is_not_used():
+    # another chain of as many states, and the same chain in other arrays
+    model = two_state_cycle(1.0, 2.0)
+    other = build_heterogeneous_single_source([0.5, 1.0], [1.0, 2.0])
+    assert other.num_states == model.num_states
+    pi = stationary_distribution(model)
+    for plan in (other._plan, ShsPlan(hand_made_copy(model))):
+        assert not plan.fits(model)
+        assert stationary_distribution(model, plan=plan).tobytes() == pi.tobytes()
+    own = stationary_distribution(other, plan=other._plan)
+    assert own.tobytes() == stationary_distribution(other).tobytes()
 
 
 def dense_age(model):
@@ -598,6 +656,30 @@ def test_solve_age_non_finite_solution():
     # a subnormal reset rate is not exactly singular, but its age overflows
     m = ShsModel(1, 1, [0], [0], [1e-320], [[-1]], np.ones((1, 1)))
     with pytest.raises(NonErgodicError, match="not finite"):
+        solve_age(m)
+
+
+def test_tiny_rates_leave_negative_stationary_mass():
+    # with rates from 1e-116 to 1e-32, state 2's mass of about 1e-16 comes out
+    # of the solve as -1.5e-9
+    m = ShsModel(3, 1, [2, 0, 0, 1], [0, 2, 1, 0], [1e-39, 1e-32, 1e-93, 1e-116],
+                 [[-1]] * 4, np.ones((3, 1)))
+    with pytest.raises(NonErgodicError, match="stationary distribution has negative mass"):
+        stationary_distribution(m)
+
+
+def test_nearly_singular_age_system_is_materially_negative():
+    # no transition resets a coordinate to 0, so the ages are unbounded, but
+    # rounding leaves the 3 x 3 system solvable
+    m = ShsModel(1, 3, [0, 0, 0], [0, 0, 0], [1000.0, 0.001, 1000.0],
+                 [[0, 0, 0], [1, 2, 1], [0, 1, 0]], [[0.0, 1.0, 1.0]])
+    with pytest.raises(NegativeSolutionError, match="materially negative"):
+        solve_age(m)
+
+
+def test_a_monitor_age_that_never_grows_is_refused():
+    m = ShsModel(1, 1, [0], [0], [1.0], [[-1]], np.zeros((1, 1)))
+    with pytest.raises(NonErgodicError, match=r"^average age 0\.0 is not finite and > 0$"):
         solve_age(m)
 
 

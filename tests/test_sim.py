@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aoinet import sim
 from aoinet.analytic import aoi_multi_source_n2
-from aoinet.model import NetworkConfig, load_config
+from aoinet.model import NetworkConfig, QueueDiscipline, load_config
 from aoinet.shs import ShsModel, solve_age
 from aoinet.sim import (
     _ENGINES,
@@ -609,6 +609,32 @@ def test_source_split_matches_mask_reference(monkeypatch, config):
     assert result.ci_half_width == tuple(c for _, c, _, _ in expected)
     assert result.deliveries == sum(nd for _, _, nd, _ in expected)
     assert result.useful_deliveries == sum(nu for _, _, _, nu in expected)
+
+
+@pytest.mark.parametrize(
+    "rows, useful",
+    [
+        # a tie across servers: server 0's generation 1 goes before server 1's 3
+        pytest.param({1.0: [(5, 1), (6, 4), (6, 2)], 2.0: [(5, 3)]}, 3, id="server-order"),
+        # a tie within a server: generation 3 goes before 2, as delivered
+        pytest.param({1.0: [(5, 1), (6, 3), (6, 2)], 2.0: [(7, 4)]}, 3, id="delivery-order"),
+    ],
+)
+def test_tied_deliveries_merge_in_server_then_delivery_order(monkeypatch, rows, useful):
+    # real delivery times never tie, so a fake kernel delivers fixed
+    # (time, generation) rows of the one source, picked by the server's mu
+
+    class Fixed:
+        def __init__(self, svc_rng, mu, labels):
+            self.rows, self.label = rows[mu], labels[:1]
+
+        def deliver(self, t, s, end):
+            (done, gen), self.rows = np.array(self.rows, dtype=float).reshape(-1, 2).T, []
+            return done, gen, np.repeat(self.label, done.size)
+
+    monkeypatch.setitem(sim._ENGINES, QueueDiscipline.LCFS_S, Fixed)
+    result = simulate(SimParams(cfg(n=2, mus=[1.0, 2.0]), 10.0, warmup=1.0, batches=2))
+    assert (result.deliveries, result.useful_deliveries) == (4, useful)
 
 
 def test_lcfs_w_results_do_not_depend_on_the_window(monkeypatch):
