@@ -5,6 +5,14 @@ All builders model LCFS-S service with the age vector ordered freshest-first
 reset map depends only on the slot that receives or delivers (`_slot_maps`).
 Delivered updates overwrite the monitor and, through harmless synthetic
 preemption, every staler server, which collapses or bounds the state space.
+
+Only a chain's rates depend on the servers' rates. Its other arrays, and the
+solver's plan of them (`ShsPlan`), depend on its shape alone, so builders
+cache them, read-only, and every model of one shape shares them: distinct
+servers per n (`_orderings`, at most six entries), exchangeable ones per n
+and whether other sources send (`_exchangeable`, the last
+_EXCHANGEABLE_SHAPES shapes of at most BLOCK_UNKNOWNS age unknowns; larger
+shapes are planned on every build and not kept).
 """
 from __future__ import annotations
 
@@ -15,7 +23,10 @@ import math
 import numpy as np
 
 from .model import positive_rate
-from .shs import ShsModel, ShsPlan
+from .shs import BLOCK_UNKNOWNS, ShsModel, ShsPlan
+
+# exchangeable-server shapes whose plans stay cached: 1.4 MB each at most
+_EXCHANGEABLE_SHAPES = 16
 
 
 def _slot_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -66,9 +77,13 @@ def build_multi_source_homogeneous(
     Size: 2n transitions (3n with other sources), each with an (n + 1)-long
     reset map, and about n^2 age-system terms (1.5 n^2 in a dense (n + 1)^2
     system with other sources), so peak memory is 75 to 85 n^2 bytes (125 to
-    130 n^2 with other sources). n = 2,000 builds in 0.1 s and solves in 0.4 to 0.5 s
-    at 0.34 GB, and n = 3,000 in 0.2 s and 1.0 s at 0.68 GB (one BLAS thread,
-    2-vCPU x86, numpy 2.4 with OpenBLAS); n = 20,000 needs about 30 GB.
+    130 n^2 with other sources). Up to n = BLOCK_UNKNOWNS - 1 the plan of a
+    shape is cached and shared, at most 1.4 MB each (n = 127 with other
+    sources); from n = BLOCK_UNKNOWNS each build plans anew. n = 1,000 then
+    builds in 0.08 to 0.10 s and solves in 0.03 s, and n = 2,000 in 0.43 to
+    0.51 s and 0.14 to 0.15 s at 0.34 GB (one BLAS thread, 2-vCPU x86, numpy
+    2.4 with OpenBLAS); n = 3,000 took 1.2 s in all at 0.68 GB, and n =
+    20,000 needs about 30 GB.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -83,13 +98,12 @@ def build_multi_source_homogeneous(
     mu = positive_rate("mu", mu)
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
-    arrival, displaced, delivery = _slot_maps(n)
+    # shapes of at most BLOCK_UNKNOWNS age unknowns share a cached plan
+    planner = _exchangeable if n < BLOCK_UNKNOWNS else _exchangeable.__wrapped__
+    plan = planner(n, lam_bar > 0)
     # rows: n arrivals, n displacements if other sources send, n deliveries
     map_rates = [lam_i, lam_bar, mu] if lam_bar > 0 else [lam_i, mu]
-    maps = [arrival, displaced, delivery] if lam_bar > 0 else [arrival, delivery]
-    state = np.zeros(len(maps) * n, dtype=np.intp)  # every transition is a self-loop
-    take = np.concatenate(maps)
-    return ShsModel(1, n + 1, state, state, np.repeat(map_rates, n), take, np.ones((1, n + 1)))
+    return plan.model(np.repeat(map_rates, n))
 
 
 def build_heterogeneous_single_source(
@@ -172,3 +186,21 @@ def _orderings(n: int) -> tuple[np.ndarray, ShsPlan]:
         a.flags.writeable = False
     rate = np.ones(source.size)  # a plan reads no rate
     return perms, ShsPlan(ShsModel(num_states, d, source, target, rate, take, growth))
+
+
+@functools.lru_cache(maxsize=_EXCHANGEABLE_SHAPES)
+def _exchangeable(n: int, others: bool) -> ShsPlan:
+    """The plan of the chain of n exchangeable servers, with `others`' displacements.
+
+    One state, so every transition is a self-loop: n arrivals, n displacements
+    if other sources send, then n deliveries. Every array is read-only, as all
+    models of one shape share them.
+    """
+    maps = _slot_maps(n)  # arrival, displacement, delivery
+    take = np.concatenate(maps if others else maps[::2])
+    del maps  # before the plan's index arrays grow
+    state = np.zeros(take.shape[0], dtype=np.intp)
+    growth = np.ones((1, n + 1))
+    for a in (state, take, growth):
+        a.flags.writeable = False
+    return ShsPlan(ShsModel(1, n + 1, state, state, np.ones(state.size), take, growth))

@@ -123,14 +123,18 @@ def grid_minimize(
         raise ValueError("tol must be > 0")
 
     def f(x: float) -> float:
-        y = float(objective(x))
+        try:
+            y = float(objective(x))
+        except ZeroDivisionError:
+            y = math.inf  # a float divisor that underflows to 0
         if not math.isfinite(y):
-            raise ValueError(f"objective is not finite at {float(x)!r}")
+            raise ValueError(f"objective is not finite at {x!r}")
         return y
 
-    # the points are numpy floats, whose overflow f refuses instead of a warning
+    # the points are Python floats, so the objective runs on float arithmetic;
+    # an objective that computes in numpy has its overflow refused by f, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        xs = np.linspace(lo, hi, _COARSE_POINTS)
+        xs = np.linspace(lo, hi, _COARSE_POINTS).tolist()
         ys = [f(x) for x in xs]
         k = int(np.argmin(ys))
         a = xs[max(k - 1, 0)]

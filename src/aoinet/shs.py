@@ -47,7 +47,10 @@ planned solve gives the same bytes. `solve_age` takes the model's own plan
 while it fits (`ShsPlan.fits`: the model holds the very arrays the plan was
 made from, as a model made by `ShsPlan.model` does), else plans the model on
 the spot, and hands that plan to `stationary_distribution`, so each solve
-plans at most once.
+plans at most once. Every builder's model is made by `ShsPlan.model`, and
+the builders keep the plans of the shapes they make often (see `builders`),
+so models of one shape share one plan; a hand-made model is planned on
+every solve.
 A plan is never changed once built, so threads may share it.
 """
 from __future__ import annotations

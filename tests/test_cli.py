@@ -832,9 +832,12 @@ def test_main_optimize_rejects_malformed_weights(capsys, weights):
         # no numpy overflow warning may come before the error line
         ("--kind hetero-n2 --total 1e-310 --mu1 1 --mu2 2", "overflows"),
         ("--kind hetero-n2 --total 10 --mu1 30", "--mu2"),
+        # the grid's float objective divides by a product that underflows to 0
+        ("--kind weighted --weights 0.5,0.5 --total 1e-310 --mu 1e-8",
+         "at total arrival rate 1e-310: objective is not finite"),
     ],
     ids=["weighted-tiny-total", "hetero-tiny-total", "weighted-overflow", "hetero-overflow",
-         "hetero-overflow-warning", "hetero-no-mu2"],
+         "hetero-overflow-warning", "hetero-no-mu2", "weighted-zero-divisor"],
 )
 def test_main_optimize_refusals_name_the_input(capsys, flags, word):
     # the grid check resolves 1e-9 of the total, which is 0 for a subnormal

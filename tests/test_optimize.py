@@ -158,3 +158,19 @@ def test_grid_minimize_rejects_bad_inputs():
         grid_minimize(lambda x: x, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError, match="not finite"):
         grid_minimize(lambda x: math.inf, 0.0, 1.0)
+
+
+def test_grid_minimize_runs_on_floats_and_refuses_a_zero_divisor():
+    # the objective sees Python floats, so a divisor that is 0 raises
+    # ZeroDivisionError where a numpy float gave inf; both are not finite
+    seen = []
+
+    def objective(x):
+        seen.append(type(x))
+        return 1.0 / x
+
+    with pytest.raises(ValueError, match=r"not finite at 0\.0"):
+        grid_minimize(objective, 0.0, 1.0)
+    assert seen == [float]
+    x, val = grid_minimize(lambda x: (x - 0.25) ** 2, 0.0, 1.0)
+    assert type(x) is float and x == pytest.approx(0.25, abs=1e-7)

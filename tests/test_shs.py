@@ -1,5 +1,7 @@
 """Generic chain-plus-ages solver: linear algebra, ergodicity gates, known solutions."""
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,11 +251,12 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     # builder's plan, so two solves build the terms once; a hand-made model
     # is planned on every solve
     builders._orderings.cache_clear()
+    builders._exchangeable.cache_clear()
+    model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
     calls = count_term_builds(monkeypatch)
     for lams in ([0.5, 1.0, 1.5], [2.0, 0.7, 1.1]):
         solve_age(build_heterogeneous_single_source(lams, [1.0, 2.0, 3.0]))
     assert len(calls) == 1
-    model = build_single_source_homogeneous(3, 1.0, 1.0)
     solve_age(model)
     solve_age(model)
     assert len(calls) == 3
@@ -276,8 +279,9 @@ def test_each_solve_plans_at_most_once(monkeypatch):
     # one plan serves the balance and the age system: a hand-made model is
     # planned once per solve, and a builder's cached n never again
     builders._orderings.cache_clear()
+    builders._exchangeable.cache_clear()
+    model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
     calls = count_plans(monkeypatch)
-    model = build_single_source_homogeneous(3, 1.0, 1.0)
     solve_age(model)
     assert calls == [model]
     solve_age(model)
@@ -286,6 +290,84 @@ def test_each_solve_plans_at_most_once(monkeypatch):
     assert len(calls) == 3
     solve_age(build_heterogeneous_single_source([2.0, 0.7, 1.1], [3.0, 1.0, 0.4]))
     assert len(calls) == 3
+
+
+def test_exchangeable_shapes_are_planned_once_up_to_the_block_size(monkeypatch):
+    # models of one shape (n, other sources or not) share the builder's plan,
+    # whatever their rates; past BLOCK_UNKNOWNS age unknowns each build plans anew
+    builders._exchangeable.cache_clear()
+    calls = count_plans(monkeypatch)
+    n = shs.BLOCK_UNKNOWNS - 1
+    for rates in ([0.5, 1.0], [2.0, 0.3, 0.1], [0.7, 0.7]):
+        for tracked in range(len(rates)):
+            solve_age(build_multi_source_homogeneous(n, tracked, rates, 1.5))
+    solve_age(build_single_source_homogeneous(n, 0.5, 1.0))
+    solve_age(build_single_source_homogeneous(n, 2.0, 3.0))
+    assert len(calls) == 2
+    a, b = (build_multi_source_homogeneous(3, 0, [0.5, r], 1.0) for r in (1.0, 2.0))
+    assert a._plan is b._plan and a.take is b.take and a.rate is not b.rate
+    assert build_single_source_homogeneous(3, 0.5, 1.0)._plan is not a._plan
+    for array in (a.source, a.target, a.take, a.growth):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    del calls[:]
+    for lam in (0.5, 2.0):
+        solve_age(build_single_source_homogeneous(n + 1, lam, 1.0))
+    assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, shs.BLOCK_UNKNOWNS - 1, shs.BLOCK_UNKNOWNS])
+@pytest.mark.parametrize("rates", [[0.5], [0.5, 1.0], [0.5, 0.2, 1.3]],
+                         ids=["one-source", "two-sources", "three-sources"])
+def test_exchangeable_plan_gives_the_bytes_of_a_plan_made_on_the_spot(n, rates):
+    for tracked in range(len(rates)):
+        model = build_multi_source_homogeneous(n, tracked, [r / n for r in rates], 1.0)
+        sol, own = solve_age(model), solve_age(hand_made_copy(model))
+        assert sol.pi.tobytes() == own.pi.tobytes() and sol.v.tobytes() == own.v.tobytes()
+        assert repr(sol.aoi) == repr(own.aoi)
+
+
+def test_exchangeable_plan_cache_holds_a_bounded_number_of_bytes():
+    # the largest cached shape, n = BLOCK_UNKNOWNS - 1 with other sources, has
+    # a plan of 1.37 MB, so the cache holds at most its size times 1.4 MB
+    builders._exchangeable.cache_clear()
+    bound = builders._EXCHANGEABLE_SHAPES * 1.4e6
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(shs.BLOCK_UNKNOWNS - 20, shs.BLOCK_UNKNOWNS + 2):
+            build_single_source_homogeneous(n, 0.5, 1.0)
+            build_multi_source_homogeneous(n, 0, [0.5, 1.0], 1.0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    info = builders._exchangeable.cache_info()
+    assert info.currsize == info.maxsize == builders._EXCHANGEABLE_SHAPES
+    # the two uncached shapes, n = BLOCK_UNKNOWNS and one more, never enter it
+    assert info.misses == 2 * 20
+    assert retained < bound
+
+
+@pytest.mark.parametrize("rates", [[0.5], [0.5, 1.0]], ids=["one-source", "two-sources"])
+def test_an_uncached_exchangeable_build_peaks_as_its_plan_does(rates):
+    # past the cache a build plans its chain, and holds no reset map beyond
+    # its model's take while it does: planning a hand-made copy, with its
+    # arrays already made, peaks within one map's n (n + 1) indices of it
+    n = 300  # past the cache
+    model = hand_made_copy(build_multi_source_homogeneous(n, 0, rates, 1.0))
+    peaks = []
+    for make in (lambda: ShsPlan(model),
+                 lambda: build_multi_source_homogeneous(n, 0, rates, 1.0)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            make()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    planned, built = peaks
+    assert built < planned + model.take.nbytes + n * (n + 1) * model.take.itemsize
 
 
 def test_a_plan_that_does_not_fit_is_not_used():

@@ -23,6 +23,7 @@ from aoinet.sim import (
     _LcfsW,
     _Sawtooth,
     _stream,
+    _t975,
     replicate,
     simulate,
 )
@@ -38,8 +39,9 @@ def cfg(m=1, n=1, rates=None, mus=None, disc="lcfs-s"):
     return NetworkConfig(m, n, rates, mus, disc)
 
 
-def close_enough(value, target, ci):
-    return abs(value - target) <= max(4.0 * ci, 0.02 * target)
+def close_enough(value, target, se):
+    # four normal 95% half-widths of the standard error, or 2%
+    return abs(value - target) <= max(4.0 * 1.96 * se, 0.02 * target)
 
 
 def integrate(dt, dg, warmup, horizon, batches, ends=()):
@@ -55,7 +57,7 @@ def integrate(dt, dg, warmup, horizon, batches, ends=()):
 
 def test_integrate_source_hand_case():
     # delivery at t=1 (gen 0.5), t=2 (gen 1.8), t=3 (gen 1.0, stale)
-    aoi, ci, nd, nu = integrate(
+    aoi, ci, se, nd, nu = integrate(
         np.array([1.0, 2.0, 3.0]),
         np.array([0.5, 1.8, 1.0]),
         0.0,
@@ -66,12 +68,13 @@ def test_integrate_source_hand_case():
     assert aoi == pytest.approx(3.9 / 4.0, rel=1e-12)
     assert nd == 3
     assert nu == 2
-    # batch means are 0.75 and 1.2
-    assert ci == pytest.approx(1.96 * 0.225, rel=1e-9)
+    # batch means are 0.75 and 1.2; two batches give one degree of freedom
+    assert se == pytest.approx(0.225, rel=1e-9)
+    assert ci == pytest.approx(12.706204736174694 * 0.225, rel=1e-9)
 
 
 def test_integrate_source_warmup_window():
-    aoi, _, nd, nu = integrate(
+    aoi, _, _, nd, nu = integrate(
         np.array([1.0, 2.0, 3.0]),
         np.array([0.5, 1.8, 1.0]),
         2.0,
@@ -93,11 +96,12 @@ def test_integrate_source_window_edges(ends):
     # window (2, 4] in two batches, with an edge at 3; the deliveries at 2 and
     # 3 fall on the warmup and on the batch edge
     dt, dg = [1.0, 2.0, 3.0], [0.5, 1.8, 2.5]
-    aoi, ci, nd, nu = integrate(dt, dg, 2.0, 4.0, 2, ends)
-    assert (aoi, ci, nd, nu) == integrate(dt, dg, 2.0, 4.0, 2)
+    aoi, ci, se, nd, nu = integrate(dt, dg, 2.0, 4.0, 2, ends)
+    assert (aoi, ci, se, nd, nu) == integrate(dt, dg, 2.0, 4.0, 2)
     # batch sums 0.7 on (2, 3] at generation 1.8 and 1.0 on (3, 4] at 2.5
     assert aoi == pytest.approx(1.7 / 2.0, rel=1e-12)
-    assert ci == pytest.approx(1.96 * 0.15, rel=1e-9)
+    assert se == pytest.approx(0.15, rel=1e-9)
+    assert ci == pytest.approx(12.706204736174694 * 0.15, rel=1e-9)
     assert (nd, nu) == (1, 1)
 
 
@@ -126,8 +130,8 @@ def sorted_integrate_source(dt, dg, warmup, horizon, batches):
     width = (horizon - warmup) / batches
     means = per_batch / width
     aoi = float(per_batch.sum() / (horizon - warmup))
-    ci = float(1.96 * means.std(ddof=1) / math.sqrt(batches))
-    return aoi, ci, n_deliveries, n_useful
+    se = float(means.std(ddof=1) / math.sqrt(batches))
+    return aoi, _t975(batches - 1) * se, se, n_deliveries, n_useful
 
 
 # (gap to the previous delivery, its age at delivery); halves make deliveries at
@@ -289,6 +293,28 @@ def test_replicate_counters_are_additive(m, n, disc, seed, horizon, k):
     assert (pooled.seed, pooled.horizon, pooled.replications) == (seed, horizon, k)
 
 
+def test_replicate_interval_is_student_t_times_the_standard_error():
+    p = SimParams(cfg(m=2, n=2, rates=[[0.5, 0.5], [0.3, 0.3]]), 5000.0, seed=3)
+    for k in (2, 3, 4):
+        runs = [simulate(replace(p, seed=3 + r)) for r in range(k)]
+        pooled = replicate(p, k)
+        se = np.std([r.aoi for r in runs], axis=0, ddof=1) / math.sqrt(k)
+        assert pooled.std_error == tuple(float(x) for x in se)
+        assert pooled.ci_half_width == tuple(float(x) for x in _t975(k - 1) * se)
+    one = simulate(p)
+    assert one.ci_half_width == tuple(_t975(p.batches - 1) * se for se in one.std_error)
+
+
+@pytest.mark.parametrize("df, quantile", [
+    (1, 12.7062), (2, 4.3027), (3, 3.1824), (4, 2.7764), (9, 2.2622), (10, 2.2281),
+    (20, 2.0860), (31, 2.0395), (60, 2.0003), (120, 1.9799), (10**6, 1.9600),
+])
+def test_t975_matches_the_printed_table(df, quantile):
+    # four-decimal Student 0.975 quantiles; the table ends at df = 9 and the
+    # expansion takes over from df = 10
+    assert _t975(df) == pytest.approx(quantile, abs=5e-5)
+    assert 1.959963984540054 < _t975(df + 1) < _t975(df)
+
 def test_replicate_validation():
     p = SimParams(cfg(), 100.0)
     with pytest.raises(ValueError, match="replications"):
@@ -301,7 +327,7 @@ def test_fcfs_single_server_reference():
     rho = lam / mu
     target = (1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
     r = replicate(SimParams(cfg(rates=[[lam]], disc="fcfs"), 200000.0, seed=5), 4)
-    assert close_enough(r.aoi[0], target, r.ci_half_width[0])
+    assert close_enough(r.aoi[0], target, r.std_error[0])
 
 
 class StubService:
@@ -525,7 +551,7 @@ def test_lcfs_w_single_server_reference():
         r = replicate(
             SimParams(cfg(rates=[[lam]], mus=[mu], disc="lcfs-w"), 200000.0, seed=3), 4
         )
-        assert close_enough(r.aoi[0], target, r.ci_half_width[0])
+        assert close_enough(r.aoi[0], target, r.std_error[0])
 
 
 def test_lcfs_w_known_value():
@@ -537,7 +563,7 @@ def test_lcfs_w_known_value():
 
 def test_lcfs_s_two_servers_reference():
     r = replicate(SimParams(cfg(n=2), 200000.0, seed=13), 4)
-    assert close_enough(r.aoi[0], 1.25, r.ci_half_width[0])
+    assert close_enough(r.aoi[0], 1.25, r.std_error[0])
 
 
 def test_two_sources_split_evenly():
@@ -545,7 +571,7 @@ def test_two_sources_split_evenly():
     r = replicate(SimParams(shared, 200000.0, seed=21), 4)
     target = aoi_multi_source_n2(0.5, 1.0, 1.0)
     for i in range(2):
-        assert close_enough(r.aoi[i], target, r.ci_half_width[i])
+        assert close_enough(r.aoi[i], target, r.std_error[i])
 
 
 def test_result_type_round_trip():
@@ -605,10 +631,9 @@ def test_source_split_matches_mask_reference(monkeypatch, config):
     params = SimParams(config, 3000.0, seed=5)
     result = simulate(params)
     expected = mask_split_simulate(params)
-    assert result.aoi == tuple(a for a, _, _, _ in expected)
-    assert result.ci_half_width == tuple(c for _, c, _, _ in expected)
-    assert result.deliveries == sum(nd for _, _, nd, _ in expected)
-    assert result.useful_deliveries == sum(nu for _, _, _, nu in expected)
+    aoi, ci, se, nd, nu = zip(*expected)
+    assert (result.aoi, result.ci_half_width, result.std_error) == (aoi, ci, se)
+    assert (result.deliveries, result.useful_deliveries) == (sum(nd), sum(nu))
 
 
 @pytest.mark.parametrize(
