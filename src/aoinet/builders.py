@@ -12,7 +12,10 @@ cache them, read-only, and every model of one shape shares them: distinct
 servers per n (`_orderings`, at most six entries), exchangeable ones per n
 and whether other sources send (`_exchangeable`, the last
 _EXCHANGEABLE_SHAPES shapes of at most BLOCK_UNKNOWNS age unknowns; larger
-shapes are planned on every build and not kept).
+shapes are planned on every build and not kept). A shape's arrays are checked
+once, when its plan is made; a build checks the servers' rates and gets a
+model from `ShsPlan.model`, which checks only the rates. Exchangeable servers
+make a chain of one state, which the solver's stationary step does not solve.
 """
 from __future__ import annotations
 

@@ -51,9 +51,13 @@ def optimal_weighted_split(
         roots = [math.sqrt(w) for w in weights]
         total = sum(roots)
         rates = tuple(lam * r / total for r in roots)
-    objective = sum(
-        w * aoi_multi_source_n2(r, lam, mu) for w, r in zip(weights, rates)
-    )
+    try:
+        objective = sum(
+            w * aoi_multi_source_n2(r, lam, mu) for w, r in zip(weights, rates)
+        )
+    except ZeroDivisionError:
+        # subnormal rates underflow a product, and so a divisor, to 0
+        raise ValueError(f"the split underflows at lam = {lam!r}, mu = {mu!r}") from None
     return SplitResult(rates=rates, objective=objective, boundary=False)
 
 
@@ -77,10 +81,17 @@ def optimal_hetero_split_n2(lam: float, mu1: float, mu2: float) -> SplitResult:
     mu1 = positive_rate("mu1", mu1)
     mu2 = positive_rate("mu2", mu2)
 
-    c = mu1 * (lam + mu2) / (mu2 * (lam + mu1))
-    # rates near the float maximum overflow the products to inf or nan
+    def refused(what: str) -> ValueError:
+        return ValueError(f"the split {what} at lam = {lam!r}, mu1 = {mu1!r}, mu2 = {mu2!r}")
+
+    # rates near the float maximum overflow the products to inf or nan, and
+    # subnormal ones underflow them, and so a divisor, to 0
+    try:
+        c = mu1 * (lam + mu2) / (mu2 * (lam + mu1))
+    except ZeroDivisionError:
+        c = 0.0
     if not 0.0 < c < math.inf:
-        raise ValueError(f"the split overflows at lam = {lam!r}, mu1 = {mu1!r}, mu2 = {mu2!r}")
+        raise refused("underflows" if c == 0.0 else "overflows")
     boundary = False
     if abs(c - 1.0) < _EQUAL_SERVICE_RTOL:
         lam1 = 0.5 * lam
@@ -99,11 +110,11 @@ def optimal_hetero_split_n2(lam: float, mu1: float, mu2: float) -> SplitResult:
             lam1 = lam - _interior_first_rate(lam, mu2, mu1)
     lam1 = min(max(lam1, 0.0), lam)
     lam2 = lam - lam1
-    return SplitResult(
-        rates=(lam1, lam2),
-        objective=aoi_hetero_n2(lam1, lam2, mu1, mu2),
-        boundary=boundary,
-    )
+    try:
+        objective = aoi_hetero_n2(lam1, lam2, mu1, mu2)
+    except ZeroDivisionError:
+        raise refused("underflows") from None
+    return SplitResult(rates=(lam1, lam2), objective=objective, boundary=boundary)
 
 
 def grid_minimize(

@@ -38,19 +38,25 @@ ones take the solved blocks' terms into their rhs.
 
 A solve is split into a plan and a numeric pass. One plan (`ShsPlan`) holds
 what follows from the structural arrays alone (`num_states`, `source`,
-`target`, `take`, `growth`) for both systems: the irreducibility verdict,
-which every rate being positive makes structural, the transitions that
-change state and their places in the balance stack, and the age system's
-terms as indices into `rate`, its blocks and their groups. The numeric pass
-gathers the rates into them, adding the same terms in the same order, so a
-planned solve gives the same bytes. `solve_age` takes the model's own plan
-while it fits (`ShsPlan.fits`: the model holds the very arrays the plan was
-made from, as a model made by `ShsPlan.model` does), else plans the model on
-the spot, and hands that plan to `stationary_distribution`, so each solve
-plans at most once. Every builder's model is made by `ShsPlan.model`, and
-the builders keep the plans of the shapes they make often (see `builders`),
-so models of one shape share one plan; a hand-made model is planned on
-every solve.
+`target`, `take`, `growth`) for both systems. Two verdicts, which every rate
+being positive makes structural: the chain is irreducible (`connected`), and
+every age unknown's terms reach an equation that a transition resets
+(`bounded`, `_reaches_reset`), without which some age grows without bound
+and `solve_age` refuses the chain before any solve. Then the transitions
+that change state and their places in the balance stack, and the age
+system's terms as indices into `rate`, its blocks and their groups. The
+numeric pass gathers the rates into them, adding the same terms in the same
+order, so a planned solve gives the same bytes. A chain of one state has a
+fixed stationary distribution, [1.0], and no balance solve. `solve_age` takes
+the model's own plan while it fits (`ShsPlan.fits`: the model holds the very
+arrays the plan was made from, as a model made by `ShsPlan.model` does), else
+plans the model on the spot, and hands that plan to
+`stationary_distribution`, so each solve plans at most once. `ShsPlan.model`
+checks only the rates it is given: its other arrays are those of a model
+that passed every check of `ShsModel` when the plan was made. Every
+builder's model is made by `ShsPlan.model`, and the builders keep the plans
+of the shapes they make often (see `builders`), so models of one shape share
+one plan; a hand-made model is checked whole and planned on every solve.
 A plan is never changed once built, so threads may share it.
 """
 from __future__ import annotations
@@ -125,11 +131,9 @@ class ShsModel:
         if not np.all((self.growth == 0) | (self.growth == 1)):
             raise ValueError("growth entries must be 0 or 1")
         source, target, take = (np.asarray(a) for a in (self.source, self.target, self.take))
-        rate = np.asarray(self.rate, dtype=float)
-        if take.ndim != 2 or any(a.shape != take.shape[:1] for a in (source, target, rate)):
+        if take.ndim != 2 or any(a.shape != take.shape[:1] for a in (source, target)):
             raise ValueError("transition arrays must have one entry per row of take")
-        if not np.all(np.isfinite(rate) & (rate > 0)):
-            raise ValueError("transition rate must be finite and > 0")
+        rate = _rates(self.rate, take.shape[0])
         if take.dtype.kind not in "iu" or not np.all((take >= -1) & (take < take.shape[1])):
             raise ValueError(
                 "take must be a (transitions, age_dim) integer array in [-1, age_dim)"
@@ -151,6 +155,16 @@ class ShsModel:
 
     def exit_rates(self) -> np.ndarray:
         return np.bincount(self.source, weights=self.rate, minlength=self.num_states)
+
+
+def _rates(rate, rows: int) -> np.ndarray:
+    """`rate` as a float array of one finite, positive entry per transition."""
+    rate = np.asarray(rate, dtype=float)
+    if rate.shape != (rows,):
+        raise ValueError("transition arrays must have one entry per row of take")
+    if not np.all(np.isfinite(rate) & (rate > 0)):
+        raise ValueError("transition rate must be finite and > 0")
+    return rate
 
 
 class _TransitionView(Sequence):
@@ -180,7 +194,8 @@ class ShsPlan:
     """The rate-free part of solving one chain, built once and never changed.
 
     Made from a model's structural arrays; `model(rate)` makes models on
-    those arrays that reuse it (see the module docstring). Balance:
+    those arrays that reuse it (see the module docstring). `bounded` is the
+    verdict that every age reaches a reset (`_reaches_reset`). Balance:
     `connected` is the irreducibility verdict, `moves` the transitions that
     change state, `mover` their sources and `place` their flat positions in
     the (1, s, s) stack. Age: `diag` is (entry, transition) pairs and
@@ -201,6 +216,7 @@ class ShsPlan:
         self.mover = model.source[self.moves]
         self.place = model.target[self.moves] * s + self.mover
         self.diag, self.terms, self.blocks = _age_index(model)
+        self.bounded = _reaches_reset(model, *self.terms[:2])
         self.row, self.col, self.steps = _block_steps(
             s, model.age_dim, self.blocks, *self.terms[:2]
         )
@@ -213,10 +229,16 @@ class ShsPlan:
         )
 
     def model(self, rate: np.ndarray) -> ShsModel:
-        """A model on the plan's arrays with these rates, checked like any other."""
-        source, target, take, growth = self.arrays
-        model = ShsModel(self.num_states, take.shape[1], source, target, rate, take, growth)
-        model._plan = self
+        """A model on the plan's arrays with these rates; only the rates are checked.
+
+        The arrays are those of the model the plan was made from, which passed
+        every check of `ShsModel`, so they are not checked again. The rates
+        get `ShsModel`'s checks and messages.
+        """
+        model = ShsModel.__new__(ShsModel)
+        model.source, model.target, model.take, model.growth = self.arrays
+        model.num_states, model.age_dim = self.num_states, model.take.shape[1]
+        model.rate, model._plan = _rates(rate, model.take.shape[0]), self
         return model
 
     def system(self, rate: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -379,6 +401,28 @@ def _strongly_connected(model: ShsModel) -> bool:
     return bool(seen.all())
 
 
+def _reaches_reset(model: ShsModel, eq: np.ndarray, unknown: np.ndarray) -> bool:
+    """Whether every age unknown's terms lead to an equation that a transition resets.
+
+    The equation of (target[k], c) is reset where take[k, c] = -1. Read as
+    (I - P) u = g with u = v / pi, the age system is then weakly chained
+    diagonally dominant, so nonsingular; an unknown that reaches no reset
+    lies in a set of equations whose rows sum to zero, and its age grows
+    without bound. One breadth-first search, one whole frontier per step,
+    from the reset equations against the terms (equation, unknown).
+    """
+    k, c = np.nonzero(model.take < 0)
+    seen = np.zeros(model.num_states * model.age_dim, dtype=bool)
+    seen[model.target[k] * model.age_dim + c] = True
+    frontier = seen.copy()
+    while not seen.all() and frontier.any():
+        step = np.zeros_like(seen)
+        step[eq[frontier[unknown]]] = True
+        frontier = step & ~seen
+        seen |= step
+    return bool(seen.all())
+
+
 def _age_index(model: ShsModel) -> tuple[tuple, tuple, list]:
     """The age equations as indices into `rate`: diagonal, copy terms and blocks.
 
@@ -472,11 +516,14 @@ def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
 def stationary_distribution(model: ShsModel, *, plan: ShsPlan | None = None) -> np.ndarray:
     """Stationary distribution of the discrete chain.
 
-    Checks irreducibility by reachability first; one balance equation is
-    replaced by normalization, and the full balance residual is verified on
-    the solution. The solved matrix leaves out self-loops: they do not change
-    the balance, and their cancelling diagonal entries lose small rates.
-    `plan` is used only if it fits the model; else the model's is (`_plan`).
+    Checks irreducibility (the plan's verdict) and that the exit rates are
+    finite first. A chain of one state is [1.0] with no solve: all its
+    transitions are self-loops, so its balance residual compares one sum
+    with itself. Otherwise one balance equation is replaced by normalization,
+    and the full balance residual is verified on the solution. The solved
+    matrix leaves out self-loops: they do not change the balance, and their
+    cancelling diagonal entries lose small rates. `plan` is used only if it
+    fits the model; else the model's is (`_plan`).
     """
     if plan is None or not plan.fits(model):
         plan = _plan(model)
@@ -485,6 +532,9 @@ def stationary_distribution(model: ShsModel, *, plan: ShsPlan | None = None) -> 
     exits, terms = model.exit_rates(), (model.target, model.source, model.rate)
     if not np.all(np.isfinite(exits)):
         raise NonErgodicError(f"exit rate {float(exits.max())!r} is not finite")
+    if model.num_states == 1:
+        # every transition is a self-loop, so the balance holds whatever the rates
+        return np.ones(1)
     rate = model.rate[plan.moves]
     diag = np.bincount(plan.mover, weights=rate, minlength=model.num_states)
     m = _stack(diag[None], plan.place, rate)
@@ -511,10 +561,14 @@ def solve_age(model: ShsModel) -> ShsSolution:
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
     being state q; its equation takes the copy terms of `_age_terms`. The
     average age is the sum of v[:, 0]. Each block is solved stack by stack
-    (`ShsPlan.steps`), after the blocks before it. A chain whose rates span more
-    than MAX_RATE_SPAN is refused with a ValueError after its stationary solve.
+    (`ShsPlan.steps`), after the blocks before it. A chain with an age that no
+    reset reaches (`ShsPlan.bounded`) is refused before any solve, and one
+    whose rates span more than MAX_RATE_SPAN with a ValueError after its
+    stationary solve.
     """
     plan = _plan(model)
+    if not plan.bounded:
+        raise NonErgodicError("age system singular: some age is reset by no path of transitions")
     pi = stationary_distribution(model, plan=plan)
     span = float(model.rate.max()) / float(model.rate.min())
     if not span <= MAX_RATE_SPAN:

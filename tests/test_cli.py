@@ -835,9 +835,15 @@ def test_main_optimize_rejects_malformed_weights(capsys, weights):
         # the grid's float objective divides by a product that underflows to 0
         ("--kind weighted --weights 0.5,0.5 --total 1e-310 --mu 1e-8",
          "at total arrival rate 1e-310: objective is not finite"),
+        # the split's own float products underflow to a zero divisor
+        ("--kind weighted --weights=1e-320,1e-320 --total 1e-320 --mu 1e-310",
+         "the split underflows at lam = 1e-320, mu = 1e-310"),
+        ("--kind hetero-n2 --total 1e-320 --mu1 1e-320 --mu2 1e-300",
+         "the split underflows at lam = 1e-320, mu1 = 1e-320, mu2 = 1e-300"),
     ],
     ids=["weighted-tiny-total", "hetero-tiny-total", "weighted-overflow", "hetero-overflow",
-         "hetero-overflow-warning", "hetero-no-mu2", "weighted-zero-divisor"],
+         "hetero-overflow-warning", "hetero-no-mu2", "weighted-zero-divisor",
+         "weighted-underflow", "hetero-underflow"],
 )
 def test_main_optimize_refusals_name_the_input(capsys, flags, word):
     # the grid check resolves 1e-9 of the total, which is 0 for a subnormal
@@ -1239,6 +1245,12 @@ def golden_runs():
         (["sweep", "--spec", str(DATA / f"sweep_{case}.json")], 2, f"sweep_{case}.err")
         for case in ("nan_grid", "huge_servers", "wrong_base", "unknown_key",
                      "disciplines_without_sim")
+    ]
+    runs += [
+        (["optimize", "--kind", "weighted", "--weights=1e-320,1e-320", "--total", "1e-320",
+          "--mu", "1e-310"], 2, "optimize_weighted_underflow.err"),
+        (["optimize", "--kind", "hetero-n2", "--total", "1e-320", "--mu1", "1e-320",
+          "--mu2", "1e-300"], 2, "optimize_hetero_underflow.err"),
     ]
     runs += [
         (simulate_golden_argv(d), 0, f"simulate_3x3_{d}.json")

@@ -479,6 +479,62 @@ def test_builds_of_one_n_share_one_read_only_plan():
             array[0] = 0
 
 
+@pytest.mark.parametrize(
+    "rate",
+    [[np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [1.0, -np.inf, 1.0, 1.0],
+     [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [[1.0, 1.0, 1.0, 1.0]]],
+    ids=["nan", "inf", "-inf", "zero", "negative", "wrong-length", "2-d"],
+)
+def test_planned_model_checks_its_rates_as_any_model_does(rate):
+    # the plan's arrays are not checked again, but the rates are, with the same messages
+    plan = build_single_source_homogeneous(2, 1.0, 1.0)._plan
+    with pytest.raises(ValueError) as own:
+        ShsModel(1, 3, *plan.arrays[:2], rate, *plan.arrays[2:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(own.value))}$"):
+        plan.model(rate)
+
+
+def test_planned_model_has_the_attributes_of_a_checked_one():
+    model = build_heterogeneous_single_source([0.5, 1.0], [1.0, 2.0])
+    copy = hand_made_copy(model)
+    for name in ("num_states", "age_dim", "source", "target", "rate", "take", "growth"):
+        a, b = getattr(model, name), getattr(copy, name)
+        assert type(a) is type(b) and np.array_equal(a, b)
+        assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
+    assert [repr(t) for t in model.transitions] == [repr(t) for t in copy.transitions]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_distinct_plan_gives_the_bytes_of_a_plan_made_on_the_spot(n):
+    model = build_heterogeneous_single_source([0.5 + 0.3 * j for j in range(n)],
+                                              [1.0 + 0.7 * j for j in range(n)])
+    sol, own = solve_age(model), solve_age(hand_made_copy(model))
+    assert sol.pi.tobytes() == own.pi.tobytes() and sol.v.tobytes() == own.v.tobytes()
+    assert repr(sol.aoi) == repr(own.aoi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, shs.BLOCK_UNKNOWNS])
+def test_one_state_chain_balances_exactly_whatever_its_rates(n):
+    # every transition is a self-loop: the residual adds the same rates in
+    # the same order on both sides, so pi = [1.0] needs no solve
+    rng = np.random.default_rng(n)
+    for rates in ([0.5], [0.5, 1.0], [0.5, 0.2, 1.3]):
+        for tracked in range(len(rates)):
+            model = build_multi_source_homogeneous(n, tracked, rates, 1.0)
+            assert model.num_states == 1
+            assert stationary_distribution(model).tobytes() == np.ones(1).tobytes()
+            for _ in range(20):
+                rate = 10.0 ** rng.uniform(-300, 300, size=model.rate.size)
+                assert balance_residual(model._plan.model(rate), np.ones(1)) == 0.0
+
+
+def test_one_state_chain_with_an_overflowing_exit_rate_is_refused():
+    model = build_multi_source_homogeneous(3, 0, [1e308, 1e308], 1e308)
+    assert model.num_states == 1
+    with pytest.raises(NonErgodicError, match=r"^exit rate inf is not finite$"):
+        stationary_distribution(model)
+
+
 def test_model_with_replaced_arrays_is_planned_anew(monkeypatch):
     model = build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
     expected = solve_age(model)
@@ -567,6 +623,12 @@ def test_singular_group_in_a_stacked_solve_is_non_ergodic(monkeypatch):
     model = cycle_model(s, take, np.ones(s))
     assert [c.tolist() for _, _, c in age_blocks(model)] == [[1, 2], [3, 0]]
     shapes = record_age_solves(monkeypatch)
+    # the plan refuses it before any solve
+    with pytest.raises(NonErgodicError, match="reset by no path"):
+        solve_age(model)
+    assert shapes == []
+    # past that verdict, the stacked solve refuses the singular group itself
+    monkeypatch.setattr(shs, "_reaches_reset", lambda *args: True)
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(model)
     assert shapes == [(2, 50, 50)]
@@ -629,9 +691,15 @@ def test_infinite_exit_rate_is_non_ergodic():
 
 
 @pytest.mark.parametrize(
-    "failing_call, word", [(1, "balance residual nan"), (2, "age system residual nan")]
+    "failing_call, word, servers",
+    [
+        pytest.param(1, "balance residual nan", 2, id="1-balance residual nan"),
+        pytest.param(2, "age system residual nan", 2, id="2-age system residual nan"),
+        # a one-state chain has no balance solve, so no balance residual
+        pytest.param(1, "age system residual nan", 1, id="one-state-1-age system residual nan"),
+    ],
 )
-def test_nan_residual_fails_the_check(monkeypatch, failing_call, word):
+def test_nan_residual_fails_the_check(monkeypatch, failing_call, word, servers):
     calls = []
 
     def residual(*args):
@@ -639,8 +707,12 @@ def test_nan_residual_fails_the_check(monkeypatch, failing_call, word):
         return float("nan") if len(calls) == failing_call else 0.0
 
     monkeypatch.setattr(shs, "_residual", residual)
+    # two distinct servers make two states; exchangeable servers one
+    model = (build_heterogeneous_single_source([1.0, 2.0], [1.0, 3.0]) if servers == 2
+             else build_single_source_homogeneous(2, 1.0, 1.0))
+    assert model.num_states == servers
     with pytest.raises(NonErgodicError, match=word):
-        solve_age(build_single_source_homogeneous(2, 1.0, 1.0))
+        solve_age(model)
 
 
 def test_solve_age_known_value():
@@ -750,13 +822,28 @@ def test_tiny_rates_leave_negative_stationary_mass():
         stationary_distribution(m)
 
 
-def test_nearly_singular_age_system_is_materially_negative():
-    # no transition resets a coordinate to 0, so the ages are unbounded, but
-    # rounding leaves the 3 x 3 system solvable
-    m = ShsModel(1, 3, [0, 0, 0], [0, 0, 0], [1000.0, 0.001, 1000.0],
-                 [[0, 0, 0], [1, 2, 1], [0, 1, 0]], [[0.0, 1.0, 1.0]])
+def unreset_model(rate):
+    """One state, three coordinates, and no transition that resets any of them."""
+    return ShsModel(1, 3, [0, 0, 0], [0, 0, 0], rate,
+                    [[0, 0, 0], [1, 2, 1], [0, 1, 0]], [[0.0, 1.0, 1.0]])
+
+
+def test_nearly_singular_age_system_is_materially_negative(monkeypatch):
+    # the ages are unbounded, but rounding leaves the 3 x 3 system solvable:
+    # past the plan's verdict, the negative solution is refused
+    monkeypatch.setattr(shs, "_reaches_reset", lambda *args: True)
     with pytest.raises(NegativeSolutionError, match="materially negative"):
-        solve_age(m)
+        solve_age(unreset_model([1000.0, 0.001, 1000.0]))
+
+
+def test_ages_that_no_reset_reaches_are_refused_before_any_solve(monkeypatch):
+    # whatever the rates; solved, 1,152 of these gave a finite age above 1e10
+    shapes = record_age_solves(monkeypatch)
+    rng = np.random.default_rng(12)
+    for rate in 10.0 ** rng.uniform(-3, 3, size=(3000, 3)):
+        with pytest.raises(NonErgodicError, match=r"^age system singular: some age is reset"):
+            solve_age(unreset_model(rate))
+    assert shapes == []
 
 
 def test_a_monitor_age_that_never_grows_is_refused():
