@@ -7,15 +7,16 @@ Delivered updates overwrite the monitor and, through harmless synthetic
 preemption, every staler server, which collapses or bounds the state space.
 
 Only a chain's rates depend on the servers' rates. Its other arrays, and the
-solver's plan of them (`ShsPlan`), depend on its shape alone, so builders
-cache them, read-only, and every model of one shape shares them: distinct
-servers per n (`_orderings`, at most six entries), exchangeable ones per n
-and whether other sources send (`_exchangeable`, the last
-_EXCHANGEABLE_SHAPES shapes of at most BLOCK_UNKNOWNS age unknowns; larger
-shapes are planned on every build and not kept). A shape's arrays are checked
-once, when its plan is made; a build checks the servers' rates and gets a
-model from `ShsPlan.model`, which checks only the rates. Exchangeable servers
-make a chain of one state, which the solver's stationary step does not solve.
+solver's plan of them (`ShsModel.plan`), depend on its shape alone, so
+builders cache one planned model per shape, at unit rates, and make each
+chain from it with `ShsModel.with_rates`, which checks only the rates and
+shares the arrays and the plan: distinct servers per n (`_orderings`, at most
+six entries), exchangeable ones per n and whether other sources send
+(`_exchangeable`, the last _EXCHANGEABLE_SHAPES shapes of at most
+BLOCK_UNKNOWNS age unknowns; larger shapes are planned on every build and
+not kept). A shape's arrays are checked once, when its model is made.
+Exchangeable servers make a chain of one state, which the solver's
+stationary step does not solve.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ import math
 import numpy as np
 
 from .model import positive_rate
-from .shs import BLOCK_UNKNOWNS, ShsModel, ShsPlan
+from .shs import BLOCK_UNKNOWNS, ShsModel
 
-# exchangeable-server shapes whose plans stay cached: 1.4 MB each at most
+# exchangeable-server shapes whose planned models stay cached: 1.4 MB each at most
 _EXCHANGEABLE_SHAPES = 16
 
 
@@ -102,11 +103,10 @@ def build_multi_source_homogeneous(
     lam_bar = sum(r for i, r in enumerate(rates) if i != tracked)
 
     # shapes of at most BLOCK_UNKNOWNS age unknowns share a cached plan
-    planner = _exchangeable if n < BLOCK_UNKNOWNS else _exchangeable.__wrapped__
-    plan = planner(n, lam_bar > 0)
+    shape = _exchangeable if n < BLOCK_UNKNOWNS else _exchangeable.__wrapped__
     # rows: n arrivals, n displacements if other sources send, n deliveries
     map_rates = [lam_i, lam_bar, mu] if lam_bar > 0 else [lam_i, mu]
-    return plan.model(np.repeat(map_rates, n))
+    return shape(n, lam_bar > 0).with_rates(np.repeat(map_rates, n))
 
 
 def build_heterogeneous_single_source(
@@ -124,9 +124,8 @@ def build_heterogeneous_single_source(
     The chain is written as whole arrays (all orderings at once), in the
     order: per state, its n arrivals by server, then its n deliveries by rank.
     Only the rates depend on the servers' rates: the other arrays, and the
-    solver's plan of them (`ShsPlan`), are built once per n and shared,
-    read-only, by every model of that n, so a later solve skips the
-    structural work.
+    solver's plan of them (`ShsModel.plan`), are built once per n and shared
+    by every model of that n, so a later solve skips the structural work.
 
     Capped at n <= 6. Each server coordinate reads only itself or a fresher
     one, so `solve_age` solves n + 1 blocks of n! unknowns. Coordinate c's
@@ -147,16 +146,17 @@ def build_heterogeneous_single_source(
         raise ValueError("need at least one server")
     if n > 6:
         raise ValueError("heterogeneous builder supports at most 6 servers")
-    perms, plan = _orderings(n)
+    perms, unit = _orderings(n)
     # per state: its n arrivals by server, then its n deliveries by rank
-    return plan.model(np.hstack([np.tile(lams, (len(perms), 1)), np.array(mus)[perms]]).ravel())
+    rate = np.hstack([np.tile(lams, (len(perms), 1)), np.array(mus)[perms]])
+    return unit.with_rates(rate.ravel())
 
 
 @functools.lru_cache(maxsize=None)
-def _orderings(n: int) -> tuple[np.ndarray, ShsPlan]:
-    """The n! orderings of n distinct servers and the plan of their chain's arrays.
+def _orderings(n: int) -> tuple[np.ndarray, ShsModel]:
+    """The n! orderings of n distinct servers and their chain, planned, at unit rates.
 
-    Every array is read-only, as all models of n servers share them; the
+    `perms` is read-only, as every build of n servers reads it; the
     builder's cap bounds the cache to six entries.
     """
     # state q is the q-th ordering in lexicographic order; read as base-n
@@ -184,26 +184,24 @@ def _orderings(n: int) -> tuple[np.ndarray, ShsPlan]:
     take = np.hstack(
         [arrival[np.argsort(perms, axis=1)], np.broadcast_to(delivery, (num_states, n, d))]
     ).reshape(-1, d)
+    perms.flags.writeable = False
     growth = np.ones((num_states, d))
-    for a in (perms, source, target, take, growth):
-        a.flags.writeable = False
-    rate = np.ones(source.size)  # a plan reads no rate
-    return perms, ShsPlan(ShsModel(num_states, d, source, target, rate, take, growth))
+    unit = ShsModel(num_states, d, source, target, np.ones(source.size), take, growth)
+    unit.plan  # planned before any build shares it
+    return perms, unit
 
 
 @functools.lru_cache(maxsize=_EXCHANGEABLE_SHAPES)
-def _exchangeable(n: int, others: bool) -> ShsPlan:
-    """The plan of the chain of n exchangeable servers, with `others`' displacements.
+def _exchangeable(n: int, others: bool) -> ShsModel:
+    """The chain of n exchangeable servers, with `others`' displacements, planned, at unit rates.
 
     One state, so every transition is a self-loop: n arrivals, n displacements
-    if other sources send, then n deliveries. Every array is read-only, as all
-    models of one shape share them.
+    if other sources send, then n deliveries.
     """
     maps = _slot_maps(n)  # arrival, displacement, delivery
     take = np.concatenate(maps if others else maps[::2])
     del maps  # before the plan's index arrays grow
     state = np.zeros(take.shape[0], dtype=np.intp)
-    growth = np.ones((1, n + 1))
-    for a in (state, take, growth):
-        a.flags.writeable = False
-    return ShsPlan(ShsModel(1, n + 1, state, state, np.ones(state.size), take, growth))
+    unit = ShsModel(1, n + 1, state, state, np.ones(state.size), take, np.ones((1, n + 1)))
+    unit.plan  # planned before any build shares it
+    return unit

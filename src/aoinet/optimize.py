@@ -35,7 +35,8 @@ def optimal_weighted_split(
 
     For the two-exchangeable-server system the weighted sum of per-source
     ages is minimized at rates proportional to sqrt(weight). Equal weights
-    give the exactly equal split.
+    give the exactly equal split. No rate is above lam, and a rate that
+    underflows to 0 is refused.
     """
     lam = positive_rate("lam", lam)
     mu = positive_rate("mu", mu)
@@ -50,14 +51,20 @@ def optimal_weighted_split(
     else:
         roots = [math.sqrt(w) for w in weights]
         total = sum(roots)
-        rates = tuple(lam * r / total for r in roots)
+        # lam * r / total overflows or underflows to 0 where lam * r does, and
+        # rounding can put it above lam; lam * (r / total) cannot overflow
+        shares = [(lam * r / total, lam * (r / total)) for r in roots]
+        rates = tuple(min(x if 0.0 < x < math.inf else y, lam) for x, y in shares)
+    underflows = ValueError(f"the split underflows at lam = {lam!r}, mu = {mu!r}")
+    if 0.0 in rates:
+        raise underflows
     try:
         objective = sum(
             w * aoi_multi_source_n2(r, lam, mu) for w, r in zip(weights, rates)
         )
     except ZeroDivisionError:
         # subnormal rates underflow a product, and so a divisor, to 0
-        raise ValueError(f"the split underflows at lam = {lam!r}, mu = {mu!r}") from None
+        raise underflows from None
     return SplitResult(rates=rates, objective=objective, boundary=False)
 
 
@@ -157,5 +164,6 @@ def grid_minimize(
                 b = d
             else:
                 a = c
-        x = 0.5 * (a + b)
+        # halves first where a + b overflows near the float maximum
+        x = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
         return x, f(x)

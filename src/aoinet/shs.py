@@ -22,7 +22,7 @@ and are solved as stacks: k equal systems of g unknowns, shape (k, g, g),
 which `_stack` assembles. Stationary balance: diag is the exit rates, each
 transition is a term (target, source, rate), rhs is 0, and one equation is
 replaced by normalization; it is one (1, s, s) stack. Expected age: diag and
-terms are `_age_terms`, rhs is growth * pi. A self-loop that keeps a
+terms are `ShsPlan.system`, rhs is growth * pi. A self-loop that keeps a
 coordinate (a self-copy) is left out of both, so each diagonal entry is a sum
 of positive rates. The age system is solved in blocks of coordinates taken in
 the order 1, ..., d - 1, 0, a block ending where no equation so far reads a
@@ -36,34 +36,31 @@ distinct servers, server coordinate c's block splits into groups of
 (c - 1)! states. The first block reads no solved unknowns, so only the later
 ones take the solved blocks' terms into their rhs.
 
-A solve is split into a plan and a numeric pass. One plan (`ShsPlan`) holds
-what follows from the structural arrays alone (`num_states`, `source`,
-`target`, `take`, `growth`) for both systems. Two verdicts, which every rate
-being positive makes structural: the chain is irreducible (`connected`), and
-every age unknown's terms reach an equation that a transition resets
-(`bounded`, `_reaches_reset`), without which some age grows without bound
-and `solve_age` refuses the chain before any solve. Then the transitions
-that change state and their places in the balance stack, and the age
-system's terms as indices into `rate`, its blocks and their groups. The
-numeric pass gathers the rates into them, adding the same terms in the same
-order, so a planned solve gives the same bytes. A chain of one state has a
-fixed stationary distribution, [1.0], and no balance solve. `solve_age` takes
-the model's own plan while it fits (`ShsPlan.fits`: the model holds the very
-arrays the plan was made from, as a model made by `ShsPlan.model` does), else
-plans the model on the spot, and hands that plan to
-`stationary_distribution`, so each solve plans at most once. `ShsPlan.model`
-checks only the rates it is given: its other arrays are those of a model
-that passed every check of `ShsModel` when the plan was made. Every
-builder's model is made by `ShsPlan.model`, and the builders keep the plans
-of the shapes they make often (see `builders`), so models of one shape share
-one plan; a hand-made model is checked whole and planned on every solve.
-A plan is never changed once built, so threads may share it.
+A solve is split into a plan and a numeric pass. A model's plan
+(`ShsModel.plan`, an `ShsPlan`) holds what follows from its structural arrays
+alone (`num_states`, `source`, `target`, `take`, `growth`) for both systems.
+Two verdicts, which every rate being positive makes structural, each one
+frontier search (`_reach`): the chain is irreducible (`connected`), and every
+age unknown's terms reach an equation that a transition resets (`bounded`),
+without which some age grows without bound and `solve_age` refuses the chain
+before any solve. Then the transitions that change state and their places in
+the balance stack, and the age system's terms as indices into `rate`, its
+blocks and their groups. The numeric pass gathers the rates into them,
+adding the same terms in the same order, so a planned solve gives the same
+bytes. A chain of one state has a fixed stationary distribution, [1.0], and
+no balance solve. A model is immutable and its arrays are read-only, so it
+is planned once, on first use, and keeps its plan. `ShsModel.with_rates`
+makes the same chain at other rates: it checks only the rates, and shares
+the arrays and, once made, the plan. Builders keep a planned model of each
+shape they make often (see `builders`), so models of one shape share one
+plan. A plan is never changed once built, so threads may share it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,13 +100,16 @@ class ShsTransition:
         return np.equal.outer(np.arange(self.take.size), self.take).astype(float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShsModel:
     """A chain over `num_states` states with `age_dim` age coordinates.
 
     Transition k goes from source[k] to target[k] at rate[k] and resets the
     ages by the map take[k] (see ShsTransition). growth[q] is the 0/1 vector
-    of coordinates that grow at unit rate in state q.
+    of coordinates that grow at unit rate in state q. A model is immutable:
+    its fields cannot be set, and once checked its arrays are read-only,
+    including an array handed in that needed no conversion, which the model
+    holds as it is.
     """
 
     num_states: int
@@ -119,16 +119,14 @@ class ShsModel:
     rate: np.ndarray
     take: np.ndarray
     growth: np.ndarray
-    # set by ShsPlan.model only
-    _plan: ShsPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.growth = np.asarray(self.growth, dtype=float)
+        growth = np.asarray(self.growth, dtype=float)
         if self.num_states < 1 or self.age_dim < 1:
             raise ValueError("num_states and age_dim must be >= 1")
-        if self.growth.shape != (self.num_states, self.age_dim):
+        if growth.shape != (self.num_states, self.age_dim):
             raise ValueError("growth must have shape (num_states, age_dim)")
-        if not np.all((self.growth == 0) | (self.growth == 1)):
+        if not np.all((growth == 0) | (growth == 1)):
             raise ValueError("growth entries must be 0 or 1")
         source, target, take = (np.asarray(a) for a in (self.source, self.target, self.take))
         if take.ndim != 2 or any(a.shape != take.shape[:1] for a in (source, target)):
@@ -143,10 +141,28 @@ class ShsModel:
                 raise ValueError("transition state index out of range")
         if take.shape[1] != self.age_dim:
             raise ValueError("take must have shape (transitions, age_dim)")
-        self.source, self.target, self.take = (
-            a.astype(np.intp, copy=False) for a in (source, target, take)
-        )
-        self.rate = rate
+        source, target, take = (a.astype(np.intp, copy=False) for a in (source, target, take))
+        arrays = dict(source=source, target=target, rate=rate, take=take, growth=growth)
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @functools.cached_property
+    def plan(self) -> ShsPlan:
+        """The model's plan, made on first use and kept with the model."""
+        return ShsPlan(self)
+
+    def with_rates(self, rate: np.ndarray) -> ShsModel:
+        """The same chain at these rates, sharing this model's arrays and, once made, its plan.
+
+        Only the rates are checked, with `ShsModel`'s messages: the other
+        arrays passed every check when this model was made.
+        """
+        # a shallow copy, as copy.copy makes, which took a fifth of a small build's time
+        model = object.__new__(ShsModel)
+        model.__dict__.update(self.__dict__, rate=_rates(rate, self.rate.size))
+        model.rate.flags.writeable = False
+        return model
 
     @property
     def transitions(self) -> Sequence[ShsTransition]:
@@ -193,53 +209,39 @@ class ShsSolution:
 class ShsPlan:
     """The rate-free part of solving one chain, built once and never changed.
 
-    Made from a model's structural arrays; `model(rate)` makes models on
-    those arrays that reuse it (see the module docstring). `bounded` is the
-    verdict that every age reaches a reset (`_reaches_reset`). Balance:
-    `connected` is the irreducibility verdict, `moves` the transitions that
-    change state, `mover` their sources and `place` their flat positions in
-    the (1, s, s) stack. Age: `diag` is (entry, transition) pairs and
-    `terms` (equation, unknown, transition) triples, from `_age_index`;
-    `blocks` are those of `_age_blocks`. `steps` holds each block's slice of
-    the terms and its stacks: per group size g in increasing order, the
-    (k, g) array of the k groups' flat unknowns, each group's in index
-    order, and the terms that link them (an index array or a slice), in term
-    order. The term of equation e and unknown u sits at flat position
-    row[e] + col[u] of its stack.
+    Made from a model's structural arrays (see the module docstring).
+    `bounded` is the verdict that every age unknown's terms lead to an
+    equation that a transition resets: the equation of (target[k], c) where
+    take[k, c] = -1. Read as (I - P) u = g with u = v / pi, the age system
+    is then weakly chained diagonally dominant, so nonsingular; an unknown
+    that reaches no reset lies in a set of equations whose rows sum to zero,
+    and its age grows without bound. Balance: `connected` is the
+    irreducibility verdict, `moves` the transitions that change state,
+    `mover` their sources and `place` their flat positions in the (1, s, s)
+    stack. Age: `diag` is (entry, transition) pairs and `terms` (equation,
+    unknown, transition) triples, from `_age_index`; `blocks` are those of
+    `_age_blocks`. `steps` holds each block's slice of the terms and its
+    stacks: per group size g in increasing order, the (k, g) array of the k
+    groups' flat unknowns, each group's in index order, and the terms that
+    link them (an index array or a slice), in term order. The term of
+    equation e and unknown u sits at flat position row[e] + col[u] of its
+    stack.
     """
 
     def __init__(self, model: ShsModel) -> None:
-        s = self.num_states = model.num_states
-        self.arrays = model.source, model.target, model.take, model.growth
-        self.connected = _strongly_connected(model)
+        s, d = model.num_states, model.age_dim
+        # from state 0 along the transitions and, as states s + q, against them
+        self.connected = _reach(2 * s, [0, s], np.concatenate([model.source, model.target + s]),
+                                np.concatenate([model.target, model.source + s]))
         self.moves = np.flatnonzero(model.source != model.target)
         self.mover = model.source[self.moves]
         self.place = model.target[self.moves] * s + self.mover
         self.diag, self.terms, self.blocks = _age_index(model)
-        self.bounded = _reaches_reset(model, *self.terms[:2])
-        self.row, self.col, self.steps = _block_steps(
-            s, model.age_dim, self.blocks, *self.terms[:2]
-        )
-
-    def fits(self, model: ShsModel) -> bool:
-        """Whether the model holds the very arrays the plan was made from."""
-        arrays = model.source, model.target, model.take, model.growth
-        return self.num_states == model.num_states and all(
-            a is b for a, b in zip(arrays, self.arrays)
-        )
-
-    def model(self, rate: np.ndarray) -> ShsModel:
-        """A model on the plan's arrays with these rates; only the rates are checked.
-
-        The arrays are those of the model the plan was made from, which passed
-        every check of `ShsModel`, so they are not checked again. The rates
-        get `ShsModel`'s checks and messages.
-        """
-        model = ShsModel.__new__(ShsModel)
-        model.source, model.target, model.take, model.growth = self.arrays
-        model.num_states, model.age_dim = self.num_states, model.take.shape[1]
-        model.rate, model._plan = _rates(rate, model.take.shape[0]), self
-        return model
+        eq, unknown = self.terms[:2]
+        # from the equations that a transition resets, against the terms
+        k, c = np.nonzero(model.take < 0)
+        self.bounded = _reach(s * d, model.target[k] * d + c, unknown, eq)
+        self.row, self.col, self.steps = _block_steps(s, d, self.blocks, eq, unknown)
 
     def system(self, rate: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The age diagonal and copy terms (equation, unknown, rate) for these rates."""
@@ -254,12 +256,6 @@ class ShsPlan:
         place = self.row[eq[own]]
         place += self.col[unknown[own]]
         return _stack(diag[at], place, rate[own])
-
-
-def _plan(model: ShsModel) -> ShsPlan:
-    """The model's own plan while it fits the model, else a plan made now."""
-    plan = model._plan
-    return plan if plan is not None and plan.fits(model) else ShsPlan(model)
 
 
 def _stack(diag: np.ndarray, place: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -381,43 +377,17 @@ def _block_steps(s: int, d: int, blocks: list, eq: np.ndarray,
     return size * rank, rank % size, steps
 
 
-def _strongly_connected(model: ShsModel) -> bool:
-    """Whether every state reaches state 0 and state 0 every state.
+def _reach(size: int, seeds, frm: np.ndarray, to: np.ndarray) -> bool:
+    """Whether the nodes `seeds` reach all `size` nodes along the links frm[i] -> to[i].
 
-    One breadth-first search, one whole frontier per step, from state 0 along
-    the transitions and, as states num_states + q, against them.
+    One breadth-first search, one whole frontier per step.
     """
-    s = model.num_states
-    frm = np.concatenate([model.source, model.target + s])
-    to = np.concatenate([model.target, model.source + s])
-    seen = np.zeros(2 * s, dtype=bool)
-    seen[[0, s]] = True
+    seen = np.zeros(size, dtype=bool)
+    seen[seeds] = True
     frontier = seen.copy()
     while not seen.all() and frontier.any():
         step = np.zeros_like(seen)
         step[to[frontier[frm]]] = True
-        frontier = step & ~seen
-        seen |= step
-    return bool(seen.all())
-
-
-def _reaches_reset(model: ShsModel, eq: np.ndarray, unknown: np.ndarray) -> bool:
-    """Whether every age unknown's terms lead to an equation that a transition resets.
-
-    The equation of (target[k], c) is reset where take[k, c] = -1. Read as
-    (I - P) u = g with u = v / pi, the age system is then weakly chained
-    diagonally dominant, so nonsingular; an unknown that reaches no reset
-    lies in a set of equations whose rows sum to zero, and its age grows
-    without bound. One breadth-first search, one whole frontier per step,
-    from the reset equations against the terms (equation, unknown).
-    """
-    k, c = np.nonzero(model.take < 0)
-    seen = np.zeros(model.num_states * model.age_dim, dtype=bool)
-    seen[model.target[k] * model.age_dim + c] = True
-    frontier = seen.copy()
-    while not seen.all() and frontier.any():
-        step = np.zeros_like(seen)
-        step[eq[frontier[unknown]]] = True
         frontier = step & ~seen
         seen |= step
     return bool(seen.all())
@@ -446,15 +416,6 @@ def _age_index(model: ShsModel) -> tuple[tuple, tuple, list]:
     p, k, unknown = p[copy], k[copy], unknown[copy]
     unknown += (model.source * d)[k]
     return diag, ((model.target * d)[k] + order[p], unknown, k), blocks
-
-
-def _age_terms(model: ShsModel) -> tuple[np.ndarray, tuple, list]:
-    """The age equations' diagonal, copy terms (equation, unknown, rate) and blocks.
-
-    The model's rates gathered into its plan's indices (see `_age_index`).
-    """
-    plan = _plan(model)
-    return (*plan.system(model.rate), plan.blocks)
 
 
 def _age_blocks(kept: np.ndarray, s: int, at: np.ndarray) -> list[tuple]:
@@ -509,11 +470,11 @@ def balance_residual(model: ShsModel, pi: np.ndarray) -> float:
 
 def age_residual(model: ShsModel, pi: np.ndarray, v: np.ndarray) -> float:
     """Worst relative residual of the expected-age equations for a solution v."""
-    diag, terms, _ = _age_terms(model)
+    diag, terms = model.plan.system(model.rate)
     return _residual(diag, terms, v.ravel(), (model.growth * pi[:, None]).ravel())
 
 
-def stationary_distribution(model: ShsModel, *, plan: ShsPlan | None = None) -> np.ndarray:
+def stationary_distribution(model: ShsModel) -> np.ndarray:
     """Stationary distribution of the discrete chain.
 
     Checks irreducibility (the plan's verdict) and that the exit rates are
@@ -522,11 +483,9 @@ def stationary_distribution(model: ShsModel, *, plan: ShsPlan | None = None) -> 
     with itself. Otherwise one balance equation is replaced by normalization,
     and the full balance residual is verified on the solution. The solved
     matrix leaves out self-loops: they do not change the balance, and their
-    cancelling diagonal entries lose small rates. `plan` is used only if it
-    fits the model; else the model's is (`_plan`).
+    cancelling diagonal entries lose small rates.
     """
-    if plan is None or not plan.fits(model):
-        plan = _plan(model)
+    plan = model.plan
     if not plan.connected:
         raise NonErgodicError("chain is not irreducible")
     exits, terms = model.exit_rates(), (model.target, model.source, model.rate)
@@ -559,17 +518,17 @@ def solve_age(model: ShsModel) -> ShsSolution:
     """Solve for expected age correlations and the average age at the monitor.
 
     The unknown v[q, c] is coordinate c's expected age times pi[q], row q
-    being state q; its equation takes the copy terms of `_age_terms`. The
+    being state q; its equation takes the copy terms of `ShsPlan.system`. The
     average age is the sum of v[:, 0]. Each block is solved stack by stack
     (`ShsPlan.steps`), after the blocks before it. A chain with an age that no
     reset reaches (`ShsPlan.bounded`) is refused before any solve, and one
     whose rates span more than MAX_RATE_SPAN with a ValueError after its
     stationary solve.
     """
-    plan = _plan(model)
+    plan = model.plan
     if not plan.bounded:
         raise NonErgodicError("age system singular: some age is reset by no path of transitions")
-    pi = stationary_distribution(model, plan=plan)
+    pi = stationary_distribution(model)
     span = float(model.rate.max()) / float(model.rate.min())
     if not span <= MAX_RATE_SPAN:
         raise ValueError(

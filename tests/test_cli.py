@@ -576,6 +576,16 @@ def test_main_optimize_weighted(capsys):
     assert "grid check delta" in out
 
 
+@pytest.mark.parametrize("weights, total", [("1e-320,3", "3"), ("1e-8,1e8", "1e308")],
+                         ids=["rounds-above-total", "overflows"])
+def test_main_optimize_weighted_keeps_every_rate_within_the_total(capsys, weights, total):
+    argv = ["optimize", "--kind", "weighted", f"--weights={weights}", "--total", total,
+            "--mu", "1", "--format", "json"]
+    assert main(argv) == 0
+    rates = json.loads(capsys.readouterr().out)["rates"]
+    assert all(0.0 < r <= float(total) for r in rates)
+
+
 def test_main_optimize_hetero_json(tmp_path):
     out = tmp_path / "split.json"
     code = main(

@@ -25,7 +25,7 @@ value = st.sampled_from(VALUES)
 # half the rates of a config are ordinary, so that most configs reach an engine
 rate = st.one_of(st.sampled_from((0.1, 0.5, 1.0, 3.0, 10.0)), value)
 # a numpy scalar's repr, or a parameter name that only the code knows
-LEAK = re.compile(r"np\.float64\(|\btol\b|\blam1\b")
+LEAK = re.compile(r"np\.float64\(|\btol\b|\blam1\b|\blam_i\b")
 # simulated arrivals per stream, rate x horizon, are kept at or below this
 MAX_LOAD = 1e5
 

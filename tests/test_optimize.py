@@ -23,6 +23,29 @@ def test_weighted_split_sqrt_proportions():
     assert res.boundary is False
 
 
+@pytest.mark.parametrize(
+    "weights, lam",
+    [([1e-320, 3.0], 3.0), ([1e-8, 1e8], 1e308), ([1e-320, 1e-300], 1e-170)],
+    ids=["rounds-above-lam", "overflows", "underflows"],
+)
+def test_weighted_split_keeps_every_rate_within_the_total(weights, lam):
+    # lam * sqrt(w) / sum of roots rounded to 3.0000000000000004 in the first
+    # case, overflowed to inf in the second and underflowed to 0 in the third
+    res = optimal_weighted_split(weights, lam, 1.0)
+    assert all(0.0 < r <= lam for r in res.rates)
+    assert math.isfinite(res.objective)
+
+
+@pytest.mark.parametrize(
+    "weights, lam",
+    [([1.0, 1.0, 1.0], 5e-324), ([1e-320, 1e308], 1e-10)],
+    ids=["equal-weights", "far-apart"],
+)
+def test_weighted_split_refuses_a_rate_that_underflows_to_zero(weights, lam):
+    with pytest.raises(ValueError, match=f"^the split underflows at lam = {lam!r}, mu = 1.0$"):
+        optimal_weighted_split(weights, lam, 1.0)
+
+
 def test_weighted_split_equal_weights_exact():
     res = optimal_weighted_split([2.0, 2.0, 2.0], 1.0, 1.5)
     assert res.rates == (1.0 / 3.0,) * 3
@@ -136,6 +159,12 @@ def test_hetero_split_validation():
         optimal_hetero_split_n2(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="mu2"):
         optimal_hetero_split_n2(1.0, 1.0, 0.0)
+
+
+def test_grid_minimize_midpoint_does_not_overflow():
+    # a + b overflows near the float maximum; its halves do not
+    x, y = grid_minimize(lambda x: -x, 1e299, 1.7e308, tol=1e299)
+    assert 1.6e308 < x <= 1.7e308 and y == -x
 
 
 def test_grid_minimize_parabola():

@@ -1,4 +1,5 @@
 """Generic chain-plus-ages solver: linear algebra, ergodicity gates, known solutions."""
+import dataclasses
 import gc
 import re
 import tracemalloc
@@ -20,9 +21,7 @@ from aoinet.shs import (
     NonErgodicError,
     ShsModel,
     ShsPlan,
-    _age_terms,
     _stack,
-    _strongly_connected,
     age_residual,
     balance_residual,
     solve_age,
@@ -126,8 +125,9 @@ def test_transitions_view_yields_the_packed_records():
 
 
 def loop_reference(model):
-    """Exit rates, balance matrix, strong connectivity and the age system's
-    diagonal and terms, one transition at a time."""
+    """Exit rates, balance matrix, strong connectivity, the age system's
+    diagonal and terms, and whether every age reaches a reset, one
+    transition at a time."""
     s = model.num_states
     exit_rates = np.zeros(s)
     for t in model.transitions:
@@ -157,7 +157,13 @@ def loop_reference(model):
             age_diag[t.source * d + c] += t.rate
             if t.take[c] >= 0:
                 age_terms.append((t.target * d + c, t.source * d + int(t.take[c]), t.rate))
-    return exit_rates, m, connected, age_diag, age_terms
+    # the equations a transition resets, then each equation with a term that
+    # reads an unknown already reached, until nothing is added
+    reached = {t.target * d + c for t in model.transitions for c in range(d) if t.take[c] < 0}
+    for _ in range(s * d):
+        reached |= {e for e, u, _ in age_terms if u in reached}
+    bounded = len(reached) == s * d
+    return exit_rates, m, connected, age_diag, age_terms, bounded
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -185,14 +191,15 @@ def test_vectorized_sums_match_the_transition_loop(case):
     source, target, rate, take = zip(*edges) if edges else ((), (), (), ())
     m = ShsModel(s, d, np.array(source, dtype=int), np.array(target, dtype=int), rate,
                  np.array(take, dtype=int).reshape(-1, d), np.ones((s, d)))
-    exit_rates, balance, connected, age_diag, age_terms = loop_reference(m)
+    exit_rates, balance, connected, age_diag, age_terms, bounded = loop_reference(m)
     assert m.exit_rates().tobytes() == exit_rates.tobytes()
     place = m.target * s + m.source
     assert _stack(m.exit_rates()[None], place, m.rate)[0].tobytes() == balance.tobytes()
-    assert _strongly_connected(m) == connected
-    diag, terms, _ = _age_terms(m)
+    assert m.plan.connected == connected
+    diag, terms = m.plan.system(m.rate)
     assert diag.tobytes() == age_diag.tobytes()
     assert list(zip(*(a.tolist() for a in terms))) == age_terms
+    assert m.plan.bounded == bounded
 
 
 def test_exit_rates_sum_per_state():
@@ -249,7 +256,7 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     # one term build per plan: the age system is assembled and checked from
     # one set of copy terms. Distinct-server models of one n share their
     # builder's plan, so two solves build the terms once; a hand-made model
-    # is planned on every solve
+    # is planned on its first solve and keeps its plan
     builders._orderings.cache_clear()
     builders._exchangeable.cache_clear()
     model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
@@ -259,7 +266,7 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     assert len(calls) == 1
     solve_age(model)
     solve_age(model)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def count_plans(monkeypatch):
@@ -277,7 +284,7 @@ def count_plans(monkeypatch):
 
 def test_each_solve_plans_at_most_once(monkeypatch):
     # one plan serves the balance and the age system: a hand-made model is
-    # planned once per solve, and a builder's cached n never again
+    # planned once, on its first solve, and a builder's cached n never again
     builders._orderings.cache_clear()
     builders._exchangeable.cache_clear()
     model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
@@ -285,11 +292,11 @@ def test_each_solve_plans_at_most_once(monkeypatch):
     solve_age(model)
     assert calls == [model]
     solve_age(model)
-    assert len(calls) == 2
+    assert calls == [model]
     solve_age(build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]))
-    assert len(calls) == 3
+    assert len(calls) == 2
     solve_age(build_heterogeneous_single_source([2.0, 0.7, 1.1], [3.0, 1.0, 0.4]))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_exchangeable_shapes_are_planned_once_up_to_the_block_size(monkeypatch):
@@ -305,9 +312,9 @@ def test_exchangeable_shapes_are_planned_once_up_to_the_block_size(monkeypatch):
     solve_age(build_single_source_homogeneous(n, 2.0, 3.0))
     assert len(calls) == 2
     a, b = (build_multi_source_homogeneous(3, 0, [0.5, r], 1.0) for r in (1.0, 2.0))
-    assert a._plan is b._plan and a.take is b.take and a.rate is not b.rate
-    assert build_single_source_homogeneous(3, 0.5, 1.0)._plan is not a._plan
-    for array in (a.source, a.target, a.take, a.growth):
+    assert a.plan is b.plan and a.take is b.take and a.rate is not b.rate
+    assert build_single_source_homogeneous(3, 0.5, 1.0).plan is not a.plan
+    for array in (a.source, a.target, a.rate, a.take, a.growth):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     del calls[:]
@@ -370,23 +377,10 @@ def test_an_uncached_exchangeable_build_peaks_as_its_plan_does(rates):
     assert built < planned + model.take.nbytes + n * (n + 1) * model.take.itemsize
 
 
-def test_a_plan_that_does_not_fit_is_not_used():
-    # another chain of as many states, and the same chain in other arrays
-    model = two_state_cycle(1.0, 2.0)
-    other = build_heterogeneous_single_source([0.5, 1.0], [1.0, 2.0])
-    assert other.num_states == model.num_states
-    pi = stationary_distribution(model)
-    for plan in (other._plan, ShsPlan(hand_made_copy(model))):
-        assert not plan.fits(model)
-        assert stationary_distribution(model, plan=plan).tobytes() == pi.tobytes()
-    own = stationary_distribution(other, plan=other._plan)
-    assert own.tobytes() == stationary_distribution(other).tobytes()
-
-
 def dense_age(model):
     """The expected ages from the whole age system as one dense solve."""
     pi = stationary_distribution(model)
-    diag, (eq, unknown, rate), _ = _age_terms(model)
+    diag, (eq, unknown, rate) = model.plan.system(model.rate)
     m = np.diag(diag)
     np.subtract.at(m, (eq, unknown), rate)
     flat = np.linalg.solve(m, (model.growth * pi[:, None]).ravel())
@@ -396,7 +390,7 @@ def dense_age(model):
 
 def age_blocks(model):
     """(first term, end term, coordinates) of each block `solve_age` solves."""
-    return _age_terms(model)[2]
+    return model.plan.blocks
 
 
 _RATE = st.floats(0.1, 10.0)
@@ -437,7 +431,7 @@ def test_blocks_follow_the_coordinates_read():
     blocks = age_blocks(distinct)
     assert [c.tolist() for _, _, c in blocks] == [[1], [2], [3], [4], [5], [0]]
     bounds = [(lo, hi) for lo, hi, _ in blocks]
-    assert bounds[0][0] == 0 and bounds[-1][1] == _age_terms(distinct)[1][0].size
+    assert bounds[0][0] == 0 and bounds[-1][1] == distinct.plan.terms[0].size
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     # another source's displacement reads a staler coordinate: one block
     shared = build_multi_source_homogeneous(200, 0, [0.5, 0.7], 1.0)
@@ -448,7 +442,7 @@ def test_blocks_follow_the_coordinates_read():
 
 
 def hand_made_copy(model):
-    """The same chain in fresh, writeable arrays, which has no plan to reuse."""
+    """The same chain in fresh arrays, planned on its own."""
     return ShsModel(model.num_states, model.age_dim, model.source.copy(), model.target.copy(),
                     model.rate.copy(), model.take.copy(), model.growth.copy())
 
@@ -459,7 +453,7 @@ def hand_made_copy(model):
 def test_planned_solve_equals_the_solve_planned_on_the_spot(pairs):
     planned = build_heterogeneous_single_source(*zip(*pairs))
     copy = hand_made_copy(planned)
-    assert copy._plan is None and copy.take.flags.writeable
+    assert copy.take is not planned.take and copy.plan is not planned.plan
     sol, own = solve_age(planned), solve_age(copy)
     assert sol.v.tobytes() == own.v.tobytes() and sol.pi.tobytes() == own.pi.tobytes()
     assert repr(sol.aoi) == repr(own.aoi)
@@ -471,10 +465,10 @@ def test_planned_solve_equals_the_solve_planned_on_the_spot(pairs):
 def test_builds_of_one_n_share_one_read_only_plan():
     a = build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
     b = build_heterogeneous_single_source([2.0, 0.7, 1.1], [3.0, 1.0, 0.4])
-    assert a._plan is not None and a._plan is b._plan
+    assert a.plan is b.plan
     assert a.take is b.take and a.rate is not b.rate
-    assert build_heterogeneous_single_source([1.0] * 4, [1.0] * 4)._plan is not a._plan
-    for array in (a.source, a.target, a.take, a.growth):
+    assert build_heterogeneous_single_source([1.0] * 4, [1.0] * 4).plan is not a.plan
+    for array in (a.source, a.target, a.rate, a.take, a.growth):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -486,12 +480,13 @@ def test_builds_of_one_n_share_one_read_only_plan():
     ids=["nan", "inf", "-inf", "zero", "negative", "wrong-length", "2-d"],
 )
 def test_planned_model_checks_its_rates_as_any_model_does(rate):
-    # the plan's arrays are not checked again, but the rates are, with the same messages
-    plan = build_single_source_homogeneous(2, 1.0, 1.0)._plan
+    # with_rates does not check the model's arrays again, but it checks the
+    # rates, with the same messages
+    model = build_single_source_homogeneous(2, 1.0, 1.0)
     with pytest.raises(ValueError) as own:
-        ShsModel(1, 3, *plan.arrays[:2], rate, *plan.arrays[2:])
+        ShsModel(1, 3, model.source, model.target, rate, model.take, model.growth)
     with pytest.raises(ValueError, match=f"^{re.escape(str(own.value))}$"):
-        plan.model(rate)
+        model.with_rates(rate)
 
 
 def test_planned_model_has_the_attributes_of_a_checked_one():
@@ -525,7 +520,7 @@ def test_one_state_chain_balances_exactly_whatever_its_rates(n):
             assert stationary_distribution(model).tobytes() == np.ones(1).tobytes()
             for _ in range(20):
                 rate = 10.0 ** rng.uniform(-300, 300, size=model.rate.size)
-                assert balance_residual(model._plan.model(rate), np.ones(1)) == 0.0
+                assert balance_residual(model.with_rates(rate), np.ones(1)) == 0.0
 
 
 def test_one_state_chain_with_an_overflowing_exit_rate_is_refused():
@@ -535,23 +530,50 @@ def test_one_state_chain_with_an_overflowing_exit_rate_is_refused():
         stationary_distribution(model)
 
 
-def test_model_with_replaced_arrays_is_planned_anew(monkeypatch):
+def test_a_model_cannot_be_changed():
+    # a model's plan follows from its arrays, so neither may change once it is made
     model = build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0])
-    expected = solve_age(model)
-    calls = count_term_builds(monkeypatch)
-    solve_age(model)
-    assert calls == []
-    # the same maps in a new array; then a map the plan never saw: state 0's
-    # first delivery (row 3) also resets the freshest server's age
-    model.take = model.take.copy()
-    assert solve_age(model).v.tobytes() == expected.v.tobytes()
-    assert len(calls) == 1
-    model.take[3, 1] = -1
-    changed = solve_age(model)
-    assert len(calls) == 2
-    own = solve_age(hand_made_copy(model))
-    assert changed.v.tobytes() == own.v.tobytes()
-    assert changed.aoi != expected.aoi
+    for field in dataclasses.fields(model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field.name, getattr(model, field.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.plan = model.plan
+    for array in (model.source, model.target, model.rate, model.take, model.growth):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_a_model_holds_its_arrays_read_only_once_checked():
+    # arrays that need no conversion are held as they are, so a caller's
+    # arrays become read-only; a refused model leaves them as they were
+    source, target = np.array([0, 1], dtype=np.intp), np.array([1, 0], dtype=np.intp)
+    take = np.array([[0, 1], [0, -1]], dtype=np.intp)
+    rate, growth = np.array([1.0, 2.0]), np.ones((2, 2))
+    with pytest.raises(ValueError, match="transition rate"):
+        ShsModel(2, 2, source, target, np.array([1.0, 0.0]), take, growth)
+    assert all(a.flags.writeable for a in (source, target, rate, take, growth))
+    model = ShsModel(2, 2, source, target, rate, take, growth)
+    held = (model.source, model.target, model.rate, model.take, model.growth)
+    assert all(a is b for a, b in zip(held, (source, target, rate, take, growth)))
+    converted = array_model()  # from lists
+    for array in (*held, converted.source, converted.rate, converted.take, converted.growth):
+        assert not array.flags.writeable
+
+
+def test_with_rates_shares_the_arrays_and_the_plan_once_made():
+    model = two_state_cycle(1.0, 2.0)
+    early = model.with_rates([3.0, 4.0])
+    plan = model.plan
+    late = model.with_rates(np.array([5.0, 6.0]))
+    for other in (early, late):
+        assert all(getattr(other, name) is getattr(model, name)
+                   for name in ("source", "target", "take", "growth"))
+        assert (other.num_states, other.age_dim) == (model.num_states, model.age_dim)
+        assert not other.rate.flags.writeable
+    assert late.rate.tolist() == [5.0, 6.0] and model.rate.tolist() == [1.0, 2.0]
+    assert late.plan is plan and early.plan is not plan
+    own = stationary_distribution(two_state_cycle(5.0, 6.0))
+    assert stationary_distribution(late).tobytes() == own.tobytes()
 
 
 def record_age_solves(monkeypatch):
@@ -628,7 +650,7 @@ def test_singular_group_in_a_stacked_solve_is_non_ergodic(monkeypatch):
         solve_age(model)
     assert shapes == []
     # past that verdict, the stacked solve refuses the singular group itself
-    monkeypatch.setattr(shs, "_reaches_reset", lambda *args: True)
+    model.plan.bounded = True
     with pytest.raises(NonErgodicError, match="age system singular"):
         solve_age(model)
     assert shapes == [(2, 50, 50)]
@@ -828,12 +850,13 @@ def unreset_model(rate):
                     [[0, 0, 0], [1, 2, 1], [0, 1, 0]], [[0.0, 1.0, 1.0]])
 
 
-def test_nearly_singular_age_system_is_materially_negative(monkeypatch):
+def test_nearly_singular_age_system_is_materially_negative():
     # the ages are unbounded, but rounding leaves the 3 x 3 system solvable:
     # past the plan's verdict, the negative solution is refused
-    monkeypatch.setattr(shs, "_reaches_reset", lambda *args: True)
+    model = unreset_model([1000.0, 0.001, 1000.0])
+    model.plan.bounded = True
     with pytest.raises(NegativeSolutionError, match="materially negative"):
-        solve_age(unreset_model([1000.0, 0.001, 1000.0]))
+        solve_age(model)
 
 
 def test_ages_that_no_reset_reaches_are_refused_before_any_solve(monkeypatch):
