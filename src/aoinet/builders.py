@@ -187,7 +187,6 @@ def _orderings(n: int) -> tuple[np.ndarray, ShsModel]:
     perms.flags.writeable = False
     growth = np.ones((num_states, d))
     unit = ShsModel(num_states, d, source, target, np.ones(source.size), take, growth)
-    unit.plan  # planned before any build shares it
     return perms, unit
 
 
@@ -203,5 +202,4 @@ def _exchangeable(n: int, others: bool) -> ShsModel:
     del maps  # before the plan's index arrays grow
     state = np.zeros(take.shape[0], dtype=np.intp)
     unit = ShsModel(1, n + 1, state, state, np.ones(state.size), take, np.ones((1, n + 1)))
-    unit.plan  # planned before any build shares it
     return unit

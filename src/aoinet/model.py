@@ -159,7 +159,7 @@ def parse_json(text: str) -> object:
 
 
 def is_number(x: object) -> bool:
-    """True for a JSON number that converts to a float.
+    """True for a JSON number that fits a float.
 
     Booleans are ints in Python but not numbers here, and neither is an
     integer literal too large to convert to a float.

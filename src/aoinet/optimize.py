@@ -35,11 +35,16 @@ def optimal_weighted_split(
 
     For the two-exchangeable-server system the weighted sum of per-source
     ages is minimized at rates proportional to sqrt(weight). Equal weights
-    give the exactly equal split. No rate is above lam, and a rate that
-    underflows to 0 is refused.
+    give the exactly equal split. A split whose rates overflow or underflow
+    to 0 is refused. A rate that rounds above lam is lam, and such a split is
+    refused where an age overflows.
     """
     lam = positive_rate("lam", lam)
     mu = positive_rate("mu", mu)
+
+    def refused(what: str) -> ValueError:
+        return ValueError(f"the split {what} at lam = {lam!r}, mu = {mu!r}")
+
     weights = [float(w) for w in weights]
     if not weights:
         raise ValueError("need at least one weight")
@@ -51,20 +56,24 @@ def optimal_weighted_split(
     else:
         roots = [math.sqrt(w) for w in weights]
         total = sum(roots)
-        # lam * r / total overflows or underflows to 0 where lam * r does, and
-        # rounding can put it above lam; lam * (r / total) cannot overflow
-        shares = [(lam * r / total, lam * (r / total)) for r in roots]
-        rates = tuple(min(x if 0.0 < x < math.inf else y, lam) for x, y in shares)
-    underflows = ValueError(f"the split underflows at lam = {lam!r}, mu = {mu!r}")
-    if 0.0 in rates:
-        raise underflows
+        rates = tuple(lam * r / total for r in roots)
+    if not all(0.0 < x < math.inf for x in rates):
+        # lam * sqrt(w) overflows, or a rate underflows to 0
+        raise refused("overflows" if math.inf in rates else "underflows")
+    # the rate of a weight far above the others' can round just above lam
+    clamped = max(rates) > lam
+    rates = tuple(min(x, lam) for x in rates)
     try:
-        objective = sum(
-            w * aoi_multi_source_n2(r, lam, mu) for w, r in zip(weights, rates)
-        )
+        ages = [aoi_multi_source_n2(r, lam, mu) for r in rates]
     except ZeroDivisionError:
         # subnormal rates underflow a product, and so a divisor, to 0
-        raise underflows from None
+        raise refused("underflows") from None
+    # a clamped split's ages lose a term, or read inf, where 2 (lam + mu),
+    # 2 mu lam or their quotient overflows; the formula's other splits are
+    # reported as computed (ROADMAP item 15)
+    if clamped and not all(map(math.isfinite, (2.0 * (lam + mu), 2.0 * mu * lam, *ages))):
+        raise refused("overflows")
+    objective = sum(w * a for w, a in zip(weights, ages))
     return SplitResult(rates=rates, objective=objective, boundary=False)
 
 
@@ -142,7 +151,8 @@ def grid_minimize(
 
     def f(x: float) -> float:
         try:
-            y = float(objective(x))
+            # a point past the float maximum, as 0.5 * (a + b) can be, has none
+            y = float(objective(x)) if math.isfinite(x) else math.inf
         except ZeroDivisionError:
             y = math.inf  # a float divisor that underflows to 0
         if not math.isfinite(y):
@@ -164,6 +174,5 @@ def grid_minimize(
                 b = d
             else:
                 a = c
-        # halves first where a + b overflows near the float maximum
-        x = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
+        x = 0.5 * (a + b)
         return x, f(x)

@@ -49,15 +49,14 @@ blocks and their groups. The numeric pass gathers the rates into them,
 adding the same terms in the same order, so a planned solve gives the same
 bytes. A chain of one state has a fixed stationary distribution, [1.0], and
 no balance solve. A model is immutable and its arrays are read-only, so it
-is planned once, on first use, and keeps its plan. `ShsModel.with_rates`
+is planned once, when it is made, and keeps its plan. `ShsModel.with_rates`
 makes the same chain at other rates: it checks only the rates, and shares
-the arrays and, once made, the plan. Builders keep a planned model of each
-shape they make often (see `builders`), so models of one shape share one
-plan. A plan is never changed once built, so threads may share it.
+the arrays and the plan. Builders keep a model of each shape they make
+often (see `builders`), so models of one shape share one plan. A plan is
+never changed once built, so threads may share it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -109,7 +108,7 @@ class ShsModel:
     of coordinates that grow at unit rate in state q. A model is immutable:
     its fields cannot be set, and once checked its arrays are read-only,
     including an array handed in that needed no conversion, which the model
-    holds as it is.
+    holds as it is; a view is copied. `plan` is its ShsPlan, made with it.
     """
 
     num_states: int
@@ -144,24 +143,18 @@ class ShsModel:
         source, target, take = (a.astype(np.intp, copy=False) for a in (source, target, take))
         arrays = dict(source=source, target=target, rate=rate, take=take, growth=growth)
         for name, a in arrays.items():
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @functools.cached_property
-    def plan(self) -> ShsPlan:
-        """The model's plan, made on first use and kept with the model."""
-        return ShsPlan(self)
+            object.__setattr__(self, name, _read_only(a))
+        object.__setattr__(self, "plan", ShsPlan(self))
 
     def with_rates(self, rate: np.ndarray) -> ShsModel:
-        """The same chain at these rates, sharing this model's arrays and, once made, its plan.
+        """The same chain at these rates, sharing this model's arrays and its plan.
 
         Only the rates are checked, with `ShsModel`'s messages: the other
         arrays passed every check when this model was made.
         """
         # a shallow copy, as copy.copy makes, which took a fifth of a small build's time
         model = object.__new__(ShsModel)
-        model.__dict__.update(self.__dict__, rate=_rates(rate, self.rate.size))
-        model.rate.flags.writeable = False
+        model.__dict__.update(self.__dict__, rate=_read_only(_rates(rate, self.rate.size)))
         return model
 
     @property
@@ -181,6 +174,14 @@ def _rates(rate, rows: int) -> np.ndarray:
     if not np.all(np.isfinite(rate) & (rate > 0)):
         raise ValueError("transition rate must be finite and > 0")
     return rate
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` made read-only, copied first if it is a view, whose base could still be written."""
+    if a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 class _TransitionView(Sequence):

@@ -576,14 +576,20 @@ def test_main_optimize_weighted(capsys):
     assert "grid check delta" in out
 
 
-@pytest.mark.parametrize("weights, total", [("1e-320,3", "3"), ("1e-8,1e8", "1e308")],
-                         ids=["rounds-above-total", "overflows"])
-def test_main_optimize_weighted_keeps_every_rate_within_the_total(capsys, weights, total):
-    argv = ["optimize", "--kind", "weighted", f"--weights={weights}", "--total", total,
+def test_main_optimize_weighted_keeps_every_rate_within_the_total(capsys):
+    argv = ["optimize", "--kind", "weighted", "--weights=1e-320,3", "--total", "3",
             "--mu", "1", "--format", "json"]
     assert main(argv) == 0
-    rates = json.loads(capsys.readouterr().out)["rates"]
-    assert all(0.0 < r <= float(total) for r in rates)
+    assert json.loads(capsys.readouterr().out)["rates"][1] == 3.0
+
+
+def test_main_optimize_weighted_refuses_a_split_that_overflows(capsys):
+    argv = ["optimize", "--kind", "weighted", "--weights=1e-8,1e8", "--total", "1e308",
+            "--mu", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aoinet: error: the split overflows at lam = 1e+308, mu = 1.0\n"
 
 
 def test_main_optimize_hetero_json(tmp_path):

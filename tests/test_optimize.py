@@ -1,5 +1,6 @@
 """Rate-allocation optima and the 1-D numeric minimizer."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,17 +24,27 @@ def test_weighted_split_sqrt_proportions():
     assert res.boundary is False
 
 
+def test_weighted_split_keeps_a_rate_that_rounds_above_the_total_at_the_total():
+    # lam * sqrt(3) / (sqrt(1e-320) + sqrt(3)) rounds to 3.0000000000000004
+    res = optimal_weighted_split([1e-320, 3.0], 3.0, 1.0)
+    assert res.rates[1] == 3.0
+    assert res.rates[0] == pytest.approx(3.0 * 1e-160 / math.sqrt(3.0), rel=1e-15)
+    # 3 (1 / 8 + 4 / 6), and the light source's term, 1e-320 * 4 / (2 * 1.7e-160),
+    # is below an ulp of it
+    assert res.objective == pytest.approx(2.375, rel=1e-15)
+
+
 @pytest.mark.parametrize(
-    "weights, lam",
-    [([1e-320, 3.0], 3.0), ([1e-8, 1e8], 1e308), ([1e-320, 1e-300], 1e-170)],
-    ids=["rounds-above-lam", "overflows", "underflows"],
+    "weights, lam, mu",
+    [([1e-8, 1e8], 1e308, 1.0), ([1e-320, 3.0], 1e8, 1e300)],
+    ids=["rate-overflows", "age-overflows"],
 )
-def test_weighted_split_keeps_every_rate_within_the_total(weights, lam):
-    # lam * sqrt(w) / sum of roots rounded to 3.0000000000000004 in the first
-    # case, overflowed to inf in the second and underflowed to 0 in the third
-    res = optimal_weighted_split(weights, lam, 1.0)
-    assert all(0.0 < r <= lam for r in res.rates)
-    assert math.isfinite(res.objective)
+def test_weighted_split_refuses_a_split_that_overflows(weights, lam, mu):
+    # lam * sqrt(1e8) is inf; and at the rate 1e8, which rounds above lam,
+    # 2 mu lam_i is inf, so that source's age would read 1 / (2 (lam + mu))
+    message = f"the split overflows at lam = {lam!r}, mu = {mu!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optimal_weighted_split(weights, lam, mu)
 
 
 @pytest.mark.parametrize(
@@ -161,10 +172,10 @@ def test_hetero_split_validation():
         optimal_hetero_split_n2(1.0, 1.0, 0.0)
 
 
-def test_grid_minimize_midpoint_does_not_overflow():
-    # a + b overflows near the float maximum; its halves do not
-    x, y = grid_minimize(lambda x: -x, 1e299, 1.7e308, tol=1e299)
-    assert 1.6e308 < x <= 1.7e308 and y == -x
+def test_grid_minimize_refuses_a_midpoint_past_the_float_maximum():
+    # a + b overflows near the float maximum, so the last midpoint is inf
+    with pytest.raises(ValueError, match="^objective is not finite at inf$"):
+        grid_minimize(lambda x: -x, 1e299, 1.7e308, tol=1e299)
 
 
 def test_grid_minimize_parabola():

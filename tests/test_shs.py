@@ -256,14 +256,16 @@ def test_solve_age_flattens_the_resets_once(monkeypatch):
     # one term build per plan: the age system is assembled and checked from
     # one set of copy terms. Distinct-server models of one n share their
     # builder's plan, so two solves build the terms once; a hand-made model
-    # is planned on its first solve and keeps its plan
+    # is planned when it is made and keeps its plan
     builders._orderings.cache_clear()
     builders._exchangeable.cache_clear()
-    model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
+    built = build_single_source_homogeneous(3, 1.0, 1.0)
     calls = count_term_builds(monkeypatch)
     for lams in ([0.5, 1.0, 1.5], [2.0, 0.7, 1.1]):
         solve_age(build_heterogeneous_single_source(lams, [1.0, 2.0, 3.0]))
     assert len(calls) == 1
+    model = hand_made_copy(built)
+    assert len(calls) == 2
     solve_age(model)
     solve_age(model)
     assert len(calls) == 2
@@ -284,13 +286,14 @@ def count_plans(monkeypatch):
 
 def test_each_solve_plans_at_most_once(monkeypatch):
     # one plan serves the balance and the age system: a hand-made model is
-    # planned once, on its first solve, and a builder's cached n never again
+    # planned once, when it is made, and a builder's cached n never again
     builders._orderings.cache_clear()
     builders._exchangeable.cache_clear()
-    model = hand_made_copy(build_single_source_homogeneous(3, 1.0, 1.0))
+    built = build_single_source_homogeneous(3, 1.0, 1.0)
     calls = count_plans(monkeypatch)
-    solve_age(model)
+    model = hand_made_copy(built)
     assert calls == [model]
+    solve_age(model)
     solve_age(model)
     assert calls == [model]
     solve_age(build_heterogeneous_single_source([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]))
@@ -560,18 +563,32 @@ def test_a_model_holds_its_arrays_read_only_once_checked():
         assert not array.flags.writeable
 
 
-def test_with_rates_shares_the_arrays_and_the_plan_once_made():
+def test_a_view_handed_in_is_copied():
+    # a view's base stays writeable, so the model holds a copy, and writing
+    # the base changes neither the model nor its plan's verdicts
+    base = np.array([[0, 1], [1, 0]], dtype=np.intp)
+    rates = np.array([1.0, 2.0, 3.0, 4.0])
+    model = ShsModel(2, 2, base[0], base[1], rates[:2], [[0, -1], [0, -1]], np.ones((2, 2)))
+    other = model.with_rates(rates[2:])
+    assert all(a.base is None and not a.flags.writeable
+               for a in (model.source, model.target, model.rate, other.rate))
+    base[1] = 0
+    rates[:] = 1e300
+    assert model.target.tolist() == [1, 0] and model.plan.connected
+    assert model.rate.tolist() == [1.0, 2.0] and other.rate.tolist() == [3.0, 4.0]
+
+
+def test_with_rates_shares_the_arrays_and_the_plan():
     model = two_state_cycle(1.0, 2.0)
     early = model.with_rates([3.0, 4.0])
-    plan = model.plan
-    late = model.with_rates(np.array([5.0, 6.0]))
+    late = early.with_rates(np.array([5.0, 6.0]))
     for other in (early, late):
         assert all(getattr(other, name) is getattr(model, name)
                    for name in ("source", "target", "take", "growth"))
         assert (other.num_states, other.age_dim) == (model.num_states, model.age_dim)
         assert not other.rate.flags.writeable
     assert late.rate.tolist() == [5.0, 6.0] and model.rate.tolist() == [1.0, 2.0]
-    assert late.plan is plan and early.plan is not plan
+    assert early.plan is model.plan and late.plan is model.plan
     own = stationary_distribution(two_state_cycle(5.0, 6.0))
     assert stationary_distribution(late).tobytes() == own.tobytes()
 
